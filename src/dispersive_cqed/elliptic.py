@@ -13,12 +13,16 @@ Provides the numerical core used by the conductivity closed forms:
   defined by quadrature of the literal integrands and accelerated by a
   Carlson fast path that is validated against a cheap quadrature probe.
 
-All square roots are principal-branch (`numpy.sqrt` on complex arguments)
-evaluated pointwise; this fixes the meaning of every integrand below.
+All square roots are principal-branch and evaluated pointwise: `numpy.sqrt`
+on complex arrays in the integrands, `cmath.sqrt` on scalars in the Carlson
+duplication steps.  Both follow C99 csqrt, including the side of the cut
+selected by the sign of a zero imaginary part; this fixes the meaning of
+every integrand below.
 """
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -204,7 +208,9 @@ def carlson_rf(x: complex, y: complex, z: complex, rtol: float = 1e-16) -> compl
 
     Duplication-theorem iteration with the degree-7 series tail of Carlson
     (1995).  Arguments exactly on the negative real axis are taken as limits
-    from the upper half plane (consistent with principal `numpy.sqrt`).
+    from the side their signed zero imaginary part names: +0.0 (the default
+    of ``complex(x)``) is the upper half plane, -0.0 the lower, as for the
+    principal ``cmath.sqrt``.
     At most one argument may vanish.
     """
     x, y, z = complex(x), complex(y), complex(z)
@@ -216,7 +222,7 @@ def carlson_rf(x: complex, y: complex, z: complex, rtol: float = 1e-16) -> compl
     for _ in range(_CARLSON_MAX_ITER):
         if q <= abs(a):
             break
-        sx, sy, sz = np.sqrt(complex(x)), np.sqrt(complex(y)), np.sqrt(complex(z))
+        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
         lam = sx * sy + sy * sz + sz * sx
         x = 0.25 * (x + lam)
         y = 0.25 * (y + lam)
@@ -240,7 +246,7 @@ def carlson_rf(x: complex, y: complex, z: complex, rtol: float = 1e-16) -> compl
         + 3.0 * e3 * e3 / 104.0
         + e2 * e2 * e3 / 16.0
     )
-    return series / np.sqrt(complex(a))
+    return series / cmath.sqrt(a)
 
 
 def carlson_rd(x: complex, y: complex, z: complex, rtol: float = 1e-16) -> complex:
@@ -262,7 +268,7 @@ def carlson_rd(x: complex, y: complex, z: complex, rtol: float = 1e-16) -> compl
     for _ in range(_CARLSON_MAX_ITER):
         if q <= abs(a):
             break
-        sx, sy, sz = np.sqrt(complex(x)), np.sqrt(complex(y)), np.sqrt(complex(z))
+        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
         lam = sx * sy + sy * sz + sz * sx
         acc += fac / (sz * (z + lam))
         fac *= 0.25
@@ -289,7 +295,7 @@ def carlson_rd(x: complex, y: complex, z: complex, rtol: float = 1e-16) -> compl
         - 9.0 * e2 * e3 / 52.0
         + 3.0 * e5 / 26.0
     )
-    return fac * series / (complex(a) * np.sqrt(complex(a))) + 3.0 * acc
+    return fac * series / (a * cmath.sqrt(a)) + 3.0 * acc
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +323,31 @@ def ellip_complete_e(k: complex) -> complex:
     if k * k == 1.0:
         # endpoint of the k^2 branch cut; E (unlike K) stays finite: E(1) = 1
         return complex(1.0)
+    return _complete_ke(k)[1]
+
+
+def _complete_pair(kc2: complex, k2: complex) -> Tuple[complex, complex]:
+    """(K, E) from the parameter k2 = k^2 and its complement kc2 = 1 - k^2.
+
+    One R_F serves both integrals.  Passing the complement directly keeps
+    full relative accuracy when it is small (k near 1), which forming
+    1 - k^2 from k would not.
+    """
+    rf = carlson_rf(0.0, kc2, 1.0)
+    return rf, rf - (k2 / 3.0) * carlson_rd(0.0, kc2, 1.0)
+
+
+def _complete_ke(k: complex) -> Tuple[complex, complex]:
+    """(K(k), E(k)) with one shared R_F; equal to the two public functions.
+
+    Raises :class:`DomainError` on the whole cut k^2 in [1, inf), like
+    :func:`ellip_complete_k`.
+    """
     k = _check_modulus(k)
-    if k == 0:
-        return complex(math.pi / 2.0)
     kc2 = 1.0 - k * k
-    return carlson_rf(0.0, kc2, 1.0) - (k * k / 3.0) * carlson_rd(0.0, kc2, 1.0)
+    if k == 0:
+        return carlson_rf(0.0, kc2, 1.0), complex(math.pi / 2.0)
+    return _complete_pair(kc2, k * k)
 
 
 def complete_k_agm(k: complex, maxiter: int = 64) -> complex:
@@ -435,6 +461,48 @@ def _probe_agrees(fast: complex, cheap: complex, scale: float) -> bool:
     return abs(fast - cheap) <= 1e-3 * max(scale, abs(fast), abs(cheap))
 
 
+def _probe_checked(
+    fast: complex, integrand: Callable, z: complex, terminal_singular: bool
+) -> complex:
+    """The Carlson value if a cheap quadrature probe agrees, else full quadrature."""
+    cheap = _incomplete_quadrature(integrand, z, terminal_singular, 1e-4)
+    if _probe_agrees(fast, cheap, 1.0):
+        return fast
+    return _incomplete_quadrature(integrand, z, terminal_singular, 1e-12)
+
+
+def _incomplete_carlson(
+    z: complex, k: complex, second_kind: bool
+) -> Tuple[complex, complex | None]:
+    """Carlson fast paths (F, E) at (z, k) sharing one R_F; E only if asked."""
+    zz = z * z
+    args = (1.0 - zz, 1.0 - k * k * zz, 1.0)
+    rf = carlson_rf(*args)
+    if not second_kind:
+        return -z * rf, None
+    e = z * rf
+    if k != 0:
+        e -= (k * k * z * zz / 3.0) * carlson_rd(*args)
+    return -z * rf, e
+
+
+def _incomplete(z: complex, k: complex, method: str, second_kind: bool) -> complex:
+    z, k = complex(z), complex(k)
+    if z == 0:
+        return 0.0 + 0.0j
+    terminal = _guard_path(z, k) is not None
+    integrand = (_defining_e_integrand if second_kind else _defining_f_integrand)(k)
+    if method == "quadrature":
+        return _incomplete_quadrature(integrand, z, terminal, 1e-12)
+    f_fast, e_fast = _incomplete_carlson(z, k, second_kind)
+    fast = e_fast if second_kind else f_fast
+    if method == "carlson":
+        return fast
+    if method != "auto":
+        raise DomainError(f"unknown method {method!r}")
+    return _probe_checked(fast, integrand, z, terminal)
+
+
 def ellip_incomplete_f(z: complex, k: complex, method: str = "auto") -> complex:
     """Incomplete first-kind integral int_0^z dx / (sqrt(x^2-1) sqrt(k^2 x^2 - 1)).
 
@@ -448,23 +516,7 @@ def ellip_incomplete_f(z: complex, k: complex, method: str = "auto") -> complex:
     Raises :class:`BranchPointOnPath` if the open path hits +-1 or +-1/k;
     a terminal point *at* a branch point is admissible (integrable).
     """
-    z, k = complex(z), complex(k)
-    if z == 0:
-        return 0.0 + 0.0j
-    terminal = _guard_path(z, k)
-    integrand = _defining_f_integrand(k)
-    if method == "quadrature":
-        return _incomplete_quadrature(integrand, z, terminal is not None, 1e-12)
-    zz = z * z
-    fast = -z * carlson_rf(1.0 - zz, 1.0 - k * k * zz, 1.0)
-    if method == "carlson":
-        return fast
-    if method != "auto":
-        raise DomainError(f"unknown method {method!r}")
-    cheap = _incomplete_quadrature(integrand, z, terminal is not None, 1e-4)
-    if _probe_agrees(fast, cheap, 1.0):
-        return fast
-    return _incomplete_quadrature(integrand, z, terminal is not None, 1e-12)
+    return _incomplete(z, k, method, second_kind=False)
 
 
 def ellip_incomplete_e(z: complex, k: complex, method: str = "auto") -> complex:
@@ -473,23 +525,21 @@ def ellip_incomplete_e(z: complex, k: complex, method: str = "auto") -> complex:
     Same evaluation strategy and error contract as :func:`ellip_incomplete_f`;
     the Carlson fast path is z*R_F - (k^2 z^3/3)*R_D on the shifted arguments.
     """
+    return _incomplete(z, k, method, second_kind=True)
+
+
+def _incomplete_fe(z: complex, k: complex) -> Tuple[complex, complex]:
+    """(F, E) at (z, k) with one shared R_F; equal to the two public functions.
+
+    ``method="auto"`` semantics: each value keeps its own quadrature probe
+    and full-quadrature fallback.
+    """
     z, k = complex(z), complex(k)
     if z == 0:
-        return 0.0 + 0.0j
-    terminal = _guard_path(z, k)
-    integrand = _defining_e_integrand(k)
-    if method == "quadrature":
-        return _incomplete_quadrature(integrand, z, terminal is not None, 1e-12)
-    zz = z * z
-    args = (1.0 - zz, 1.0 - k * k * zz, 1.0)
-    fast = z * carlson_rf(*args)
-    if k != 0:
-        fast -= (k * k * z * zz / 3.0) * carlson_rd(*args)
-    if method == "carlson":
-        return fast
-    if method != "auto":
-        raise DomainError(f"unknown method {method!r}")
-    cheap = _incomplete_quadrature(integrand, z, terminal is not None, 1e-4)
-    if _probe_agrees(fast, cheap, 1.0):
-        return fast
-    return _incomplete_quadrature(integrand, z, terminal is not None, 1e-12)
+        return 0.0 + 0.0j, 0.0 + 0.0j
+    terminal = _guard_path(z, k) is not None
+    f_fast, e_fast = _incomplete_carlson(z, k, second_kind=True)
+    return (
+        _probe_checked(f_fast, _defining_f_integrand(k), z, terminal),
+        _probe_checked(e_fast, _defining_e_integrand(k), z, terminal),
+    )

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import AboveGapMode, DomainError, QubitOnResonance
 from .impedance import Material, epsilon
 from .modes import (
+    _TWO_PI_GHZ,
     FixedPointOptions,
     Mode,
     ResonatorGeometry,
@@ -44,7 +45,6 @@ from .modes import (
     resonator_modes,
 )
 
-_TWO_PI_GHZ = 2.0 * math.pi * 1e9
 _RESONANCE_REL_TOL = 1e-6
 
 

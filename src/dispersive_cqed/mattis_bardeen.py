@@ -30,11 +30,10 @@ import numpy as np
 
 from .elliptic import (
     ContourSegment,
+    _complete_ke,
+    _complete_pair,
+    _incomplete_fe,
     contour_quadrature,
-    ellip_complete_e,
-    ellip_complete_k,
-    ellip_incomplete_e,
-    ellip_incomplete_f,
     endpoint_regularized,
 )
 from .errors import DomainError, GapSingularity
@@ -237,8 +236,11 @@ def sigma_tilde(freq: ComplexFreq, gap_window: float = 1e-6) -> complex:
     z2 = sqrt(1 - k1^2 k^2)/k'.  The incomplete corrections vanish
     quadratically as kappa -> 0, leaving the classic real-axis pair.  Each
     sign here was fixed against :func:`sigma_oracle`; do not "simplify"
-    them.  Below the gap the function continues the reactive branch by
-    direct quadrature of the kernel along the tilted interval (1-w, 1).
+    them.  On the real axis (``kappa == 0``, either side of the gap) it
+    returns :func:`sigma_real_axis`.  Below the gap with ``kappa > 0`` it
+    continues the reactive branch by direct quadrature of the kernel along
+    the tilted interval (1-w, 1).  K and E at each modulus, and the
+    incomplete F and E at (z2, k'), share one R_F per pair.
     """
     nu, kap = freq.nu, freq.kappa
     if nu <= 2.0:
@@ -256,10 +258,10 @@ def sigma_tilde(freq: ComplexFreq, gap_window: float = 1e-6) -> complex:
     k, kp = m.k, m.k_prime
     k1k = m.k1 * m.k  # unit modulus: conj(w+2)/(w+2)
     z2 = np.sqrt(1.0 - k1k * k1k) / kp
-    K, E = ellip_complete_k(k), ellip_complete_e(k)
-    Kp, Ep = ellip_complete_k(kp), ellip_complete_e(kp)
-    f_z2 = -ellip_incomplete_f(z2, kp)  # Legendre-form incomplete first kind
-    e_z2 = ellip_incomplete_e(z2, kp)
+    K, E = _complete_ke(k)
+    Kp, Ep = _complete_ke(kp)
+    f_z2, e_z2 = _incomplete_fe(z2, kp)
+    f_z2 = -f_z2  # Legendre-form incomplete first kind
     return complex(
         (1.0 + 2.0 / w) * E
         - (4.0 / w) * K
@@ -294,27 +296,32 @@ def _sigma2_continued(w: complex, tol: float = 1e-11) -> complex:
 def sigma_real_axis(nu: float) -> complex:
     """Conductivity on the real axis: ``sigma1(nu) - i*sigma2(nu)``.
 
-    For ``nu <= 2`` the dissipative part is identically zero (no pair
-    breaking) and the reactive part is evaluated by regularized quadrature
-    of the below-gap kernel.  For ``nu > 2`` both parts come from the
-    kappa -> 0 limit of the closed form, i.e. the classic complete-integral
-    expressions with modulus k0 = (nu-2)/(nu+2):
+    Both parts are the kappa -> 0 limit of the closed form, the classic
+    complete-integral expressions with modulus k0 = |nu-2|/(nu+2):
 
-        sigma1 = (1 + 2/nu) E(k0) - (4/nu) K(k0)
+        sigma1 = (1 + 2/nu) E(k0) - (4/nu) K(k0)      (nu > 2)
         sigma2 = (1/2) [(1 + 2/nu) E(k0') - (1 - 2/nu) K(k0')]
+
+    For ``nu < 2`` the dissipative part is identically zero (no pair
+    breaking) and the same sigma2 expression continues the reactive part
+    below the gap; it equals the below-gap kernel integral of
+    :func:`_sigma2_continued`, which remains its oracle.  The complementary
+    integrals are evaluated from the parameter p = k0^2 = 1 - k0'^2 itself,
+    K(k0') = R_F(0, p, 1) and E(k0') = R_F(0, p, 1) - ((1-p)/3) R_D(0, p, 1),
+    so no accuracy is lost to forming 1 - k0'^2 near the gap edge.  At the
+    edge itself (``nu == 2``, where K(k0') diverges against a vanishing
+    coefficient) the exact limit sigma = -i is returned.
     """
     if not math.isfinite(nu) or nu <= 0.0:
         raise DomainError(f"nu must be positive and finite, got {nu}")
-    if nu <= 2.0:
-        sig2 = _sigma2_continued(complex(nu, 0.0)).real
-        return complex(0.0, -sig2)
+    if nu == 2.0:
+        return complex(0.0, -1.0)
     k0 = (nu - 2.0) / (nu + 2.0)
-    k0p = math.sqrt(1.0 - k0 * k0)
-    sig1 = (1.0 + 2.0 / nu) * ellip_complete_e(k0).real - (
-        4.0 / nu
-    ) * ellip_complete_k(k0).real
-    sig2 = 0.5 * (
-        (1.0 + 2.0 / nu) * ellip_complete_e(k0p).real
-        - (1.0 - 2.0 / nu) * ellip_complete_k(k0p).real
-    )
+    p = k0 * k0
+    kp, ep = _complete_pair(p, 1.0 - p)
+    sig2 = 0.5 * ((1.0 + 2.0 / nu) * ep.real - (1.0 - 2.0 / nu) * kp.real)
+    if nu < 2.0:
+        return complex(0.0, -sig2)
+    K, E = _complete_ke(k0)
+    sig1 = (1.0 + 2.0 / nu) * E.real - (4.0 / nu) * K.real
     return complex(sig1, -sig2)

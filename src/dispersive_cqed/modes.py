@@ -14,7 +14,9 @@ frequency is the fixed point of
 
     omega^2 = (k_n^2 + i g omega c Z_s(omega)) / (ell_m c),
 
-solved by under-relaxed Picard iteration with a secant fallback.  With the
+solved by under-relaxed Picard iteration with a secant fallback.  Each step
+evaluates the right-hand side (one surface-impedance call) once, and that
+value serves both the convergence residual and the Picard target.  With the
 e^{+i omega t} Fourier convention a decaying mode has omega = nu + i kappa,
 kappa > 0; the solver picks the Re omega > 0 branch and reports kappa with
 this sign.
@@ -324,8 +326,12 @@ def fixed_point_eigenfrequency(
 
     Under-relaxed Picard iteration on omega <- sqrt(rhs(omega)) (principal
     branch, Re > 0), falling back to secant iteration on the residual if the
-    Picard updates stall.  Below-gap solutions stay exactly real: the surface
-    impedance is purely imaginary there, making rhs real and positive.
+    Picard updates stall.  Each iteration makes one rhs evaluation (one
+    ``surface_impedance`` call), shared by the residual omega^2 - rhs and the
+    Picard target, so a solve without a gap restart costs as many impedance
+    calls as its residual history has entries.  Below-gap solutions stay
+    exactly real: the surface impedance is purely imaginary there, making rhs
+    real and positive.
     ``seed_ghz`` overrides the default starting point (the bare frequency
     k_n v); the fixed point must not depend on it.
 
@@ -342,16 +348,14 @@ def fixed_point_eigenfrequency(
     residuals: list[float] = []
     restarted = False
 
-    def _residual(w: complex) -> complex:
-        return w * w - _dispersion_rhs(w, k_n, material, geometry)
-
     def _side(w: complex) -> bool:
         return w.real > gap_rad
 
     side0 = _side(omega)
     prev: tuple[complex, complex] | None = None
     for it in range(options.max_iter):
-        f = _residual(omega)
+        rhs = _dispersion_rhs(omega, k_n, material, geometry)
+        f = omega * omega - rhs
         rel = abs(f) / max(abs(omega) ** 2, 1e-300)
         residuals.append(rel)
         if rel <= options.tol:
@@ -373,7 +377,7 @@ def fixed_point_eigenfrequency(
             else:
                 omega_new = omega
         else:
-            target = np.sqrt(complex(_dispersion_rhs(omega, k_n, material, geometry)))
+            target = np.sqrt(complex(rhs))
             if target.real < 0.0:
                 target = -target
             lam = options.relaxation

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from dispersive_cqed.elliptic import (
     ContourSegment,
+    _complete_ke,
+    _incomplete_fe,
+    carlson_rd,
     carlson_rf,
     complete_k_agm,
     contour_quadrature,
@@ -20,6 +23,7 @@ from dispersive_cqed.elliptic import (
 )
 from dispersive_cqed.errors import (
     BranchPointOnPath,
+    DispersiveCqedError,
     DomainError,
     NonConvergence,
     SingularInterior,
@@ -101,6 +105,39 @@ class TestCarlson:
         with pytest.raises(DomainError):
             carlson_rf(0.0, 0.0, 1.0)
 
+    # Principal-branch values on the negative real axis, frozen from the
+    # numpy.sqrt implementation of the duplication step.  The sign of a zero
+    # imaginary part selects the side of the cut (C99 csqrt), so the +0.0 and
+    # -0.0 arguments give complex-conjugate values.
+    SIGNED_ZERO_CASES = [
+        (carlson_rf, (complex(-1.0, 0.0), 1.0, 2.0),
+         1.0010773804561064 - 0.48633426751333375j),
+        (carlson_rf, (0.0, complex(-1.0, 0.0), 1.0),
+         1.3110287771460598 - 1.3110287771460598j),
+        (carlson_rf, (0.0, complex(-1.0, -0.0), 1.0),
+         1.3110287771460598 + 1.3110287771460598j),
+        (carlson_rf, (complex(-0.25, -0.0), 2.0, 1.0),
+         1.206444996991059 + 0.31531167583526754j),
+        (carlson_rf, (complex(-3.0, 0.0), 1.0, 2.0),
+         0.7422062367111932 - 0.5499964467091224j),
+        (carlson_rd, (complex(-1.0, 0.0), 1.0, 2.0),
+         0.5258534451050891 - 0.5659421438326727j),
+        (carlson_rd, (0.0, complex(-1.0, 0.0), 1.0),
+         1.0679379896673957 - 2.8651483417707837j),
+        (carlson_rd, (0.0, complex(-1.0, -0.0), 1.0),
+         1.0679379896673957 + 2.8651483417707837j),
+        (carlson_rd, (complex(-0.25, -0.0), 2.0, 1.0),
+         1.341839185466762 + 0.8170566276366448j),
+        (carlson_rd, (complex(-3.0, 0.0), 1.0, 2.0),
+         0.22886854366397413 - 0.4839940778705689j),
+    ]
+
+    @pytest.mark.parametrize("fn, args, frozen", SIGNED_ZERO_CASES)
+    def test_signed_zero_branch_on_negative_axis(self, fn, args, frozen):
+        got = fn(*args)
+        assert math.copysign(1.0, got.imag) == math.copysign(1.0, frozen.imag)
+        assert abs(got - frozen) <= 1e-15 * abs(frozen)
+
     def test_rf_homogeneity(self):
         # R_F(tx, ty, tz) = R_F(x,y,z)/sqrt(t)
         x, y, z = 0.3 + 0.2j, 1.1, 2.0 - 0.5j
@@ -149,6 +186,42 @@ class TestComplete:
         if k2.imag == 0.0 and k2.real >= 1.0:
             return
         assert ellip_complete_k(k) == pytest.approx(complete_k_agm(k), rel=1e-11)
+
+
+class TestSharedPairs:
+    """The one-R_F pair helpers return exactly what the public functions do."""
+
+    # k = 0, real and complex moduli, k near 1, and points on the cut
+    # k^2 in [1, inf) that the public K rejects.
+    MODULI = [0.0, 0.0j, 1e-8, 0.5, -0.7, 0.99999, 0.3 + 0.1j, 0.85 - 0.1j,
+              2j, 1.0, -1.0, 1.5, -2.0]
+
+    def test_complete_pair_equals_public(self):
+        for k in self.MODULI:
+            try:
+                want_k = ellip_complete_k(k)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    _complete_ke(k)
+                continue
+            got_k, got_e = _complete_ke(k)
+            assert got_k == want_k
+            assert got_e == ellip_complete_e(k)
+
+    def test_incomplete_pair_equals_public(self):
+        # Includes a path whose first-kind value needs the full-quadrature
+        # fallback (k = 0 with Im z^2 < 0), a terminal branch point, paths
+        # through a branch point and moduli on the complete integrals' cut.
+        amplitudes = [0.0, 0.3 - 0.4j, 0.6 + 0.2j, 0.5j, 0.9, 1.0, -0.4 + 0.7j]
+        for k in self.MODULI:
+            for z in amplitudes:
+                try:
+                    want = (ellip_incomplete_f(z, k), ellip_incomplete_e(z, k))
+                except DispersiveCqedError as exc:
+                    with pytest.raises(type(exc)):
+                        _incomplete_fe(z, k)
+                    continue
+                assert _incomplete_fe(z, k) == want
 
 
 def _admissible(z: complex, k: complex) -> bool:

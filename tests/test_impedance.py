@@ -60,6 +60,13 @@ class TestSurfaceImpedance:
         assert z.real == 0.0
         assert z.imag == pytest.approx(0.6984484525171, rel=1e-10)
 
+    def test_low_frequency_niobium_is_finite_and_lossless(self):
+        # 0.3 GHz is reduced frequency 8.3e-4 for niobium; the former
+        # kernel quadrature raised SingularInterior below about 1.5e-3.
+        z = surface_impedance(niobium(), 0.3)
+        assert np.isfinite(z.imag) and z.imag > 0.0
+        assert z.real == 0.0
+
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=1.0, max_value=86.0))
     def test_below_gap_lossless_and_linear_in_prefactor(self, f):

@@ -11,6 +11,7 @@ from scipy.integrate import quad as scipy_quad
 from dispersive_cqed.errors import DomainError, GapSingularity
 from dispersive_cqed.mattis_bardeen import (
     ComplexFreq,
+    _sigma2_continued,
     moduli,
     sigma_oracle,
     sigma_real_axis,
@@ -105,6 +106,27 @@ class TestRealAxis:
         assert sigma_oracle(ComplexFreq(2.1, 0.0)) == pytest.approx(
             sigma_real_axis(2.1), rel=1e-8
         )
+
+    def test_below_gap_closed_form_vs_kernel_quadrature(self):
+        # The complete-integral sigma2 against its oracle, the below-gap
+        # kernel integral, from deep below the gap up to the edge.
+        grid = list(np.geomspace(0.002, 1.9, 25)) + [1.99, 1.999, 1.9999]
+        for nu in grid:
+            want = _sigma2_continued(complex(nu, 0.0)).real
+            assert -sigma_real_axis(float(nu)).imag == pytest.approx(want, rel=1e-10)
+
+    def test_gap_edge_exact_limit(self):
+        assert sigma_real_axis(2.0) == -1j
+        # both sides approach sigma = -i continuously
+        for nu in (2.0 - 1e-9, 2.0 + 1e-9):
+            assert sigma_real_axis(nu) == pytest.approx(-1j, abs=1e-7)
+
+    def test_low_frequency_london_limit(self):
+        # sigma2 -> pi/nu as nu -> 0; the kernel quadrature could not get here.
+        for nu in (1e-4, 1e-3):
+            sig = sigma_real_axis(nu)
+            assert sig.real == 0.0
+            assert -sig.imag * nu / math.pi == pytest.approx(1.0, abs=1e-6)
 
     def test_normal_state_limit(self):
         assert sigma_real_axis(100.0).real == pytest.approx(1.0, abs=0.02)

@@ -235,6 +235,28 @@ class TestFixedPoint:
             )
         assert len(exc.value.residual_history) > 0
 
+    @pytest.mark.parametrize("max_iter", [1, 2, 5, 12])
+    def test_one_impedance_call_per_iteration(self, monkeypatch, max_iter):
+        # Residual and Picard target share one rhs evaluation; 12 iterations
+        # also reach the stall check that may switch to secant steps.
+        import dispersive_cqed.modes as modes_module
+
+        calls = []
+        original = modes_module.surface_impedance
+
+        def counted(material, frequency_ghz):
+            calls.append(frequency_ghz)
+            return original(material, frequency_ghz)
+
+        monkeypatch.setattr(modes_module, "surface_impedance", counted)
+        geo = make_geometry()
+        k20 = secular_roots(geo, 20)[-1]
+        with pytest.raises(NoConvergence) as exc:
+            fixed_point_eigenfrequency(
+                k20, aluminum(CALIBRATED_A), geo, FixedPointOptions(max_iter=max_iter)
+            )
+        assert len(calls) == len(exc.value.residual_history) == max_iter
+
     def test_seed_domain(self):
         geo = make_geometry()
         with pytest.raises(DomainError):
