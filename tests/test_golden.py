@@ -1,0 +1,44 @@
+"""Byte-exact regression check of CLI and script outputs against tests/golden/.
+
+The cases and the generator live in ``tests/golden/make_golden.py``.  A
+refactor must leave every file identical; an intended change of a printed
+number regenerates the files and records the moved digits in CHANGES.md.
+"""
+
+import difflib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+_spec = importlib.util.spec_from_file_location("make_golden", GOLDEN_DIR / "make_golden.py")
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
+
+EXIT_CODES = json.loads((GOLDEN_DIR / "exit_codes.json").read_text())
+
+
+def test_every_case_has_golden_files():
+    assert sorted(EXIT_CODES) == sorted(make_golden.CASES)
+    for case_id in make_golden.CASES:
+        assert any((GOLDEN_DIR / case_id).iterdir()), case_id
+
+
+@pytest.mark.parametrize("case_id", sorted(make_golden.CASES))
+def test_output_matches_golden(case_id, tmp_path):
+    assert make_golden.run_case(case_id, tmp_path) == EXIT_CODES[case_id]
+    expected_dir = GOLDEN_DIR / case_id
+    expected = sorted(p.name for p in expected_dir.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    for name in expected:
+        want = (expected_dir / name).read_text()
+        got = (tmp_path / name).read_text()
+        if got != want:
+            diff = difflib.unified_diff(
+                want.splitlines(), got.splitlines(), "golden", "produced", lineterm="", n=0
+            )
+            pytest.fail(f"{case_id}/{name} differs:\n" + "\n".join(list(diff)[:20]))
+        assert (tmp_path / name).read_bytes() == (expected_dir / name).read_bytes()
