@@ -19,7 +19,6 @@ from pathlib import Path
 
 from dispersive_cqed.cli import bundled_geometry_configs, load_run_config
 from dispersive_cqed.lightmatter import lamb_shift_report, rescaled
-from dispersive_cqed.modes import dispersive_modes
 
 
 def main(argv=None) -> int:
@@ -44,9 +43,7 @@ def main(argv=None) -> int:
             report = lamb_shift_report(
                 run.qubit, run.material, run.geometry, args.n_max, run.solver
             )
-            fundamental = dispersive_modes(run.geometry, run.material, 1, run.solver)[
-                0
-            ].omega_n.nu
+        fundamental = report.modes[0].omega_n.nu
         if args.rescale_to is not None:
             report = rescaled(report, args.rescale_to)
         rows.append((path.stem, run.geometry.g_geom, fundamental, report))

@@ -20,16 +20,9 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from dispersive_cqed.cli import bundled_geometry_configs, load_run_config
-from dispersive_cqed.lightmatter import (
-    cc_comparator_term,
-    coupling_strength,
-    lamb_shift_report,
-    normalized_convergence,
-)
-from dispersive_cqed.modes import dispersive_modes, resonator_modes
+from dispersive_cqed.lightmatter import coupling_strength, lamb_shift_report
+from dispersive_cqed.modes import resonator_modes
 
 
 def main(argv=None) -> int:
@@ -51,8 +44,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = lamb_shift_report(qubit, material, geometry, args.n_max, run.solver)
-        shifted = dispersive_modes(geometry, material, args.n_max, run.solver)
-    bare = resonator_modes(geometry, args.n_max)
+    bare = resonator_modes(geometry, args.n_max)  # only for the dispersionless couplings
 
     mode_lines = [
         "# command: mode_structure_export",
@@ -60,30 +52,20 @@ def main(argv=None) -> int:
         f"# N_max: {args.n_max}",
         "n,nu_bare_GHz,nu_disp_GHz,kappa_GHz,g_disp,g_cc,term_disp_MHz,term_cc_MHz",
     ]
-    cc_terms = []
-    for mode_bare, mode_disp, term in zip(bare, shifted, report.per_mode_terms):
+    rows = zip(
+        bare, report.modes, report.per_mode_terms, report.comparator_terms, report.below_gap
+    )
+    for mode_bare, mode_disp, term, cc, bare_below in rows:
         below = material.reduced(mode_disp.omega_n.nu) < 2.0
         g_disp = coupling_strength(mode_disp, qubit, material, geometry) if below else math.nan
-        g_cc = (
-            coupling_strength(mode_bare, qubit, lossless, geometry)
-            if material.reduced(mode_bare.omega_n.nu) < 2.0
-            else math.nan
-        )
-        cc = cc_comparator_term(mode_bare, qubit, geometry)
-        cc_terms.append(cc)
+        g_cc = coupling_strength(mode_bare, qubit, lossless, geometry) if bare_below else math.nan
         mode_lines.append(
             f"{mode_bare.n},{mode_bare.omega_n.nu:.12e},{mode_disp.omega_n.nu:.12e},"
             f"{mode_disp.omega_n.kappa:.12e},{g_disp:.12e},{g_cc:.12e},"
             f"{term.real:.12e},{cc:.12e}"
         )
 
-    cc_terms = np.asarray(cc_terms)
-    below_mask = np.array([material.reduced(m.omega_n.nu) < 2.0 for m in bare])
-    curves = {
-        "dispersion": report.normalized_curve,
-        "below_bandgap": normalized_convergence(np.where(below_mask, cc_terms, 0.0)),
-        "no_dispersion": normalized_convergence(cc_terms),
-    }
+    curves = report.convergence_curves()
     conv_lines = [
         "# command: mode_structure_export",
         f"# config: {path.stem}",

@@ -35,19 +35,11 @@ from .impedance import (
     LimitRegime,
     Material,
     aluminum,
-    epsilon,
     kk_parts,
     niobium,
     surface_impedance,
 )
-from .lightmatter import (
-    QubitParams,
-    cc_comparator_term,
-    coupling_strength,
-    lamb_shift_report,
-    normalized_convergence,
-    spectral_density,
-)
+from .lightmatter import QubitParams, coupling_strength, lamb_shift_report, spectral_density
 from .mattis_bardeen import ComplexFreq, sigma_oracle, sigma_real_axis, sigma_tilde
 from .modes import (
     FixedPointOptions,
@@ -55,7 +47,6 @@ from .modes import (
     ResonatorGeometry,
     derive_line_constants,
     dispersive_modes,
-    resonator_modes,
 )
 
 _EXIT_OK, _EXIT_CONFIG, _EXIT_NUMERICAL = 0, 2, 3
@@ -382,6 +373,13 @@ def _material_metadata(material: Material) -> list:
 # subcommand handlers (each returns a list of Tables)
 
 
+def _fail(table: Table, row: list, exc: DispersiveCqedError) -> list[Table]:
+    """End ``table`` with the failed row, marking it with the error's type."""
+    table.rows.append(row)
+    table.status = ["ok"] * (len(table.rows) - 1) + [type(exc).__name__]
+    return [table]
+
+
 def _cmd_conductivity(run: RunConfig, args: argparse.Namespace) -> list[Table]:
     nu_values = _parse_range(args.nu, "nu", minimum=2.0)
     kappa_values = _parse_range(args.kappa, "kappa")
@@ -411,9 +409,7 @@ def _cmd_conductivity(run: RunConfig, args: argparse.Namespace) -> list[Table]:
                     ref = sigma_oracle(ComplexFreq(float(nu), float(kap)))
                     row += [ref.real, -ref.imag, abs(sigma - ref) / abs(ref)]
             except DispersiveCqedError as exc:
-                table.rows.append([nu, kap] + [math.nan] * (len(columns) - 2))
-                table.status = ["ok"] * (len(table.rows) - 1) + [type(exc).__name__]
-                return [table]
+                return _fail(table, [nu, kap] + [math.nan] * (len(columns) - 2), exc)
             table.rows.append(row)
     return [table]
 
@@ -432,9 +428,7 @@ def _cmd_impedance(run: RunConfig, args: argparse.Namespace) -> list[Table]:
         try:
             z = surface_impedance(material, float(f))
         except DispersiveCqedError as exc:
-            table.rows.append([f, material.reduced(f), math.nan, math.nan])
-            table.status = ["ok"] * (len(table.rows) - 1) + [type(exc).__name__]
-            return [table]
+            return _fail(table, [f, material.reduced(f), math.nan, math.nan], exc)
         table.rows.append([f, material.reduced(f), z.real, z.imag])
     return [table]
 
@@ -452,9 +446,7 @@ def _cmd_modes(run: RunConfig, args: argparse.Namespace) -> list[Table]:
     try:
         modes = dispersive_modes(geometry, material, run.n_max, run.solver)
     except DispersiveCqedError as exc:
-        table.rows.append([0, math.nan, math.nan, math.nan, "NA", 0])
-        table.status = [type(exc).__name__]
-        return [table]
+        return _fail(table, [0, math.nan, math.nan, math.nan, "NA", 0], exc)
     for mode in modes:
         below = material.reduced(mode.omega_n.nu) < 2.0
         if below:
@@ -482,16 +474,12 @@ def _cmd_spectral_density(run: RunConfig, args: argparse.Namespace) -> list[Tabl
     try:
         modes = dispersive_modes(geometry, material, run.n_max, run.solver)
     except DispersiveCqedError as exc:
-        table.rows.append([math.nan, math.nan])
-        table.status = [type(exc).__name__]
-        return [table]
+        return _fail(table, [math.nan, math.nan], exc)
     for f in freqs:
         try:
             value = spectral_density(float(f), qubit, modes, material, geometry)
         except DispersiveCqedError as exc:
-            table.rows.append([f, math.nan])
-            table.status = ["ok"] * (len(table.rows) - 1) + [type(exc).__name__]
-            return [table]
+            return _fail(table, [f, math.nan], exc)
         table.rows.append([f, value])
     return [table]
 
@@ -507,20 +495,11 @@ def _cmd_lamb_shift(run: RunConfig, args: argparse.Namespace) -> list[Table]:
     try:
         report = lamb_shift_report(qubit, material, geometry, run.n_max, run.solver)
     except DispersiveCqedError as exc:
-        per_mode.rows.append([0, math.nan, math.nan])
-        per_mode.status = [type(exc).__name__]
-        return [per_mode]
+        return _fail(per_mode, [0, math.nan, math.nan], exc)
     for n, term in enumerate(report.per_mode_terms, start=1):
         per_mode.rows.append([n, term.real, term.imag])
 
-    lossless = resonator_modes(geometry, run.n_max)
-    cc_terms = np.array([cc_comparator_term(m, qubit, geometry) for m in lossless])
-    below = np.array([material.reduced(m.omega_n.nu) < 2.0 for m in lossless])
-    curves = {
-        "dispersion": report.normalized_curve,
-        "below_bandgap": normalized_convergence(np.where(below, cc_terms, 0.0)),
-        "no_dispersion": normalized_convergence(cc_terms),
-    }
+    curves = report.convergence_curves()
     models = list(curves) if args.model == "all" else [args.model]
     convergence = Table(
         name="convergence",

@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BranchCut, DomainError, GridTooCoarse
 from .mattis_bardeen import ComplexFreq, sigma_real_axis, sigma_tilde
+
+_TWO_PI_GHZ = 2.0 * math.pi * 1e9  # rad/s per GHz
 
 
 class LimitRegime(enum.Enum):
@@ -184,7 +186,7 @@ def epsilon(
     if material.impedance_prefactor == 0.0:
         return RefractiveIndex(value=1.0 + 0.0j, frequency=frequency_ghz)
     z_s = surface_impedance(material, frequency_ghz)
-    omega = 2.0 * math.pi * 1e9 * frequency_ghz
+    omega = _TWO_PI_GHZ * frequency_ghz
     if np.imag(frequency_ghz) == 0.0 and z_s.real == 0.0:
         # 1 + g X_s / (omega l_m), kept in real arithmetic.
         value = complex(1.0 + g_geom * z_s.imag / (float(np.real(omega)) * ell_m), 0.0)
@@ -289,26 +291,19 @@ def kk_parts(
         lhs = float(np.trapezoid(_integrand(nu_grid, r_grid), nu_grid))
     else:
         lo, hi = nu_probe - h_nu, nu_probe + h_nu
-        inside = (nu_grid > lo) & (nu_grid < hi)
         vals = _integrand(nu_grid, r_grid)
-        # Piecewise trapezoid on the full cells outside the window, plus the
-        # two partial cells truncated exactly at the window edges (linear
-        # interpolation of Re Z_s, consistent with the trapezoid rule).
-        lhs = 0.0
-        for j in range(nu_grid.size - 1):
-            a, b = nu_grid[j], nu_grid[j + 1]
-            if b <= lo or a >= hi:
-                lhs += 0.5 * (vals[j] + vals[j + 1]) * (b - a)
-            elif a < lo < b:
-                f_lo = _integrand(
-                    np.array([lo]), np.interp([lo], nu_grid, r_grid)
-                )[0]
-                lhs += 0.5 * (vals[j] + f_lo) * (lo - a)
-            elif a < hi < b:
-                f_hi = _integrand(
-                    np.array([hi]), np.interp([hi], nu_grid, r_grid)
-                )[0]
-                lhs += 0.5 * (f_hi + vals[j + 1]) * (b - hi)
+        # Trapezoid cells: full ones outside the window, none inside it, and
+        # the two cells cut by the window edges truncated exactly there
+        # (linear interpolation of Re Z_s, consistent with the trapezoid rule).
+        a, b = nu_grid[:-1], nu_grid[1:]
+        cells = np.where((b <= lo) | (a >= hi), 0.5 * (vals[:-1] + vals[1:]) * (b - a), 0.0)
+        cut_lo = (a < lo) & (lo < b)
+        cut_hi = (a < hi) & (hi < b) & ~cut_lo
+        f_lo, f_hi = _integrand(np.array([lo, hi]), np.interp([lo, hi], nu_grid, r_grid))
+        cells[cut_lo] = 0.5 * (vals[:-1][cut_lo] + f_lo) * (lo - a[cut_lo])
+        cells[cut_hi] = 0.5 * (f_hi + vals[1:][cut_hi]) * (b[cut_hi] - hi)
+        # cumsum adds in grid order, as a running sum would; np.sum pairs terms.
+        lhs = np.cumsum(cells)[-1]
         # Principal value over the symmetric window [probe-h, probe+h]:
         # substituting w = probe + t and keeping the odd-in-t combination
         # leaves a regular even integrand on (0, h].
@@ -389,19 +384,6 @@ def calibrate_prefactor(
     if material.reduced(f_target) >= 2.0:
         raise DomainError("calibration target frequency must sit below the gap")
     eps_target = 1.0 / (1.0 - red_shift) ** 2
-    probe = Material(
-        gap_frequency=material.gap_frequency,
-        limit_regime=material.limit_regime,
-        impedance_prefactor=1.0,
-        name=material.name,
-        from_defaults=material.from_defaults,
-    )
+    probe = replace(material, impedance_prefactor=1.0)
     slope = epsilon(probe, g_geom, ell_m, f_target).value.real - 1.0
-    a_ohm = (eps_target - 1.0) / slope
-    return Material(
-        gap_frequency=material.gap_frequency,
-        limit_regime=material.limit_regime,
-        impedance_prefactor=a_ohm,
-        name=material.name,
-        from_defaults=material.from_defaults,
-    )
+    return replace(material, impedance_prefactor=(eps_target - 1.0) / slope)

@@ -28,18 +28,17 @@ Conventions used throughout this module
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from .errors import AboveGapMode, DomainError, QubitOnResonance
-from .impedance import Material, epsilon
+from .impedance import _TWO_PI_GHZ, Material, epsilon
 from .modes import (
-    _TWO_PI_GHZ,
     FixedPointOptions,
     Mode,
     ResonatorGeometry,
-    fixed_point_eigenfrequency,
+    _with_eigenfrequencies,
     greens_function,
     mode_function,
     resonator_modes,
@@ -79,10 +78,14 @@ class LambShiftTotals:
 
 @dataclass
 class LambShiftReport:
-    """Per-mode shift terms with convergence diagnostics.
+    """The three-model Lamb-shift comparison, as built by :func:`lamb_shift_report`.
 
-    ``normalized_curve[M-1]`` is Re(sum of first M terms) / Re(total);
-    ``convergence_index_70pct`` is the smallest M with normalized >= 0.70.
+    ``modes`` are the dispersive modes behind the complex ``per_mode_terms``
+    (MHz); ``comparator_terms`` holds each mode's dispersionless term at its
+    bare frequency (MHz) and ``below_gap`` flags the modes whose bare
+    frequency lies below the gap.  ``normalized_curve[M-1]`` is Re(sum of
+    first M terms) / Re(total); ``convergence_index_70pct`` is the smallest M
+    with normalized >= 0.70.
     """
 
     per_mode_terms: np.ndarray
@@ -90,6 +93,23 @@ class LambShiftReport:
     normalized_curve: np.ndarray
     totals: LambShiftTotals
     convergence_index_70pct: int
+    modes: list[Mode]
+    comparator_terms: np.ndarray
+    below_gap: np.ndarray
+
+    def convergence_curves(self) -> dict[str, np.ndarray]:
+        """Normalized convergence curves of the three models, keyed like the totals.
+
+        Computed on demand: raises DomainError if a model's total vanishes,
+        as below_bandgap does when every mode lies above the gap.
+        """
+        return {
+            "dispersion": self.normalized_curve,
+            "below_bandgap": normalized_convergence(
+                np.where(self.below_gap, self.comparator_terms, 0.0)
+            ),
+            "no_dispersion": normalized_convergence(self.comparator_terms),
+        }
 
 
 def _check_position(qubit: QubitParams, geometry: ResonatorGeometry) -> None:
@@ -254,37 +274,32 @@ def lamb_shift_report(
     totals.dispersion sums the complex-pole terms over all n_max modes;
     totals.no_dispersion is the comparator sum over the same modes with their
     bare frequencies and eps = 1; totals.below_bandgap truncates that
-    comparator at the gap edge.
+    comparator at the gap edge.  The report keeps the modes, the comparator
+    terms and the below-gap mask, so callers need not rebuild them.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     _check_position(qubit, geometry)
     lossless = resonator_modes(geometry, n_max)
-    dispersive = [
-        replace(m, omega_n=fixed_point_eigenfrequency(m.k_n, material, geometry, options))
-        for m in lossless
-    ]
+    dispersive = _with_eigenfrequencies(lossless, material, geometry, options)
     terms = lamb_shift_terms(dispersive, qubit, material, geometry)
+    normalized = normalized_convergence(terms)
     partial = np.cumsum(terms)
-    total = partial[-1]
-    if total.real == 0.0:
-        raise DomainError("total shift vanishes; normalized curve undefined")
-    normalized = partial.real / total.real
-    index_70 = int(np.argmax(normalized >= 0.70)) + 1
-
     cc_terms = np.array([cc_comparator_term(m, qubit, geometry) for m in lossless])
-    below_mask = np.array([material.reduced(m.omega_n.nu) < 2.0 for m in lossless])
-    totals = LambShiftTotals(
-        dispersion=float(total.real),
-        below_bandgap=float(cc_terms[below_mask].sum()),
-        no_dispersion=float(cc_terms.sum()),
-    )
+    below_gap = np.array([material.reduced(m.omega_n.nu) < 2.0 for m in lossless])
     return LambShiftReport(
         per_mode_terms=terms,
         partial_sums=partial,
         normalized_curve=normalized,
-        totals=totals,
-        convergence_index_70pct=index_70,
+        totals=LambShiftTotals(
+            dispersion=float(partial[-1].real),
+            below_bandgap=float(cc_terms[below_gap].sum()),
+            no_dispersion=float(cc_terms.sum()),
+        ),
+        convergence_index_70pct=int(np.argmax(normalized >= 0.70)) + 1,
+        modes=dispersive,
+        comparator_terms=cc_terms,
+        below_gap=below_gap,
     )
 
 
@@ -292,22 +307,20 @@ def rescaled(report: LambShiftReport, no_dispersion_target_mhz: float) -> LambSh
     """Copy of ``report`` with all shift values scaled so that
     totals.no_dispersion equals the target (e.g. a published reference total).
 
-    The normalized curve and the 70% index are scale-invariant and unchanged.
+    The terms, partial sums, comparator terms and totals scale; the modes,
+    the below-gap mask, the normalized curve and the 70% index are
+    scale-invariant and unchanged.
     """
     if report.totals.no_dispersion == 0.0:
         raise DomainError("cannot rescale: no-dispersion total is zero")
     factor = no_dispersion_target_mhz / report.totals.no_dispersion
-    totals = LambShiftTotals(
-        dispersion=report.totals.dispersion * factor,
-        below_bandgap=report.totals.below_bandgap * factor,
-        no_dispersion=report.totals.no_dispersion * factor,
-    )
-    return LambShiftReport(
+    return replace(
+        report,
         per_mode_terms=report.per_mode_terms * factor,
         partial_sums=report.partial_sums * factor,
         normalized_curve=report.normalized_curve.copy(),
-        totals=totals,
-        convergence_index_70pct=report.convergence_index_70pct,
+        totals=LambShiftTotals(*(total * factor for total in astuple(report.totals))),
+        comparator_terms=report.comparator_terms * factor,
     )
 
 

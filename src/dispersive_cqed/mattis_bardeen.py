@@ -74,19 +74,11 @@ class ComplexFreq:
 
 @dataclass(frozen=True)
 class EllipticModuli:
-    """Moduli and amplitudes entering the elliptic-integral closed form.
-
-    ``phase_theta`` and ``phase_phi`` are the unit-modulus amplitudes of the
-    incomplete integrals generated by the two interval endpoints that map to
-    the unit circle; in this parametrization the two coincide.  They tend to
-    1 (not i) as ``kappa -> 0``.
-    """
+    """Moduli entering the elliptic-integral closed form."""
 
     k: complex
     k_prime: complex
     k1: complex
-    phase_theta: complex
-    phase_phi: complex
 
 
 def moduli(freq: ComplexFreq, gap_window: float = 1e-6) -> EllipticModuli:
@@ -106,14 +98,7 @@ def moduli(freq: ComplexFreq, gap_window: float = 1e-6) -> EllipticModuli:
     k = (w - 2.0) / (w + 2.0)
     k_prime = np.sqrt(1.0 - k * k)
     k1 = (wb + 2.0) / (w - 2.0)
-    phase = (wb - 2.0) / (w - 2.0)
-    return EllipticModuli(
-        k=complex(k),
-        k_prime=complex(k_prime),
-        k1=complex(k1),
-        phase_theta=complex(phase),
-        phase_phi=complex(phase),
-    )
+    return EllipticModuli(k=complex(k), k_prime=complex(k_prime), k1=complex(k1))
 
 
 # ---------------------------------------------------------------------------

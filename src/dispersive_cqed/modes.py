@@ -12,8 +12,10 @@ inner product ``int ell_m c(x) Psi^2 dx = 1``.
 The material enters through the dispersion relation: the complex mode
 frequency is the fixed point of
 
-    omega^2 = (k_n^2 + i g omega c Z_s(omega)) / (ell_m c),
+    omega^2 = omega_n^2(omega) = (k_n^2 + i g omega c Z_s(omega)) / (ell_m c),
 
+whose right-hand side is assembled in one place, ``_omega_n_sq``, for the
+fixed point, the Green's function and the Green's-identity residual.  It is
 solved by under-relaxed Picard iteration with a secant fallback.  Each step
 evaluates the right-hand side (one surface-impedance call) once, and that
 value serves both the convergence residual and the Picard target.  With the
@@ -44,10 +46,8 @@ from .errors import (
     NoConvergence,
     PoleProximity,
 )
-from .impedance import Material, surface_impedance
+from .impedance import _TWO_PI_GHZ, Material, surface_impedance
 from .mattis_bardeen import ComplexFreq
-
-_TWO_PI_GHZ = 2.0 * math.pi * 1e9  # rad/s per GHz
 
 
 @dataclass(frozen=True)
@@ -303,16 +303,25 @@ class FixedPointOptions:
     epsilon_gap: float = 1e-3
 
 
+def _omega_n_sq(k, omega, z_s, geometry: ResonatorGeometry):
+    """omega_n^2 = (k^2 + i g omega c Z_s) / (ell_m c) in (rad/s)^2.
+
+    ``omega`` is in rad/s and ``z_s`` is Z_s(omega) in Ohms; ``k`` is one wave
+    number or an array of them.
+    """
+    num = k * k + 1j * geometry.g_geom * omega * geometry.c_per_len * z_s
+    return num / (geometry.ell_m * geometry.c_per_len)
+
+
 def _dispersion_rhs(
     omega: complex, k: float, material: Material, geometry: ResonatorGeometry
 ) -> complex:
-    """(k^2 + i g omega c Z_s(omega)) / (ell_m c), with omega in rad/s."""
+    """omega_n^2(omega) for one wave number, with omega in rad/s."""
     if material.impedance_prefactor == 0.0:
         z_s = 0.0j
     else:
         z_s = surface_impedance(material, omega / _TWO_PI_GHZ)
-    num = k * k + 1j * geometry.g_geom * omega * geometry.c_per_len * z_s
-    return num / (geometry.ell_m * geometry.c_per_len)
+    return _omega_n_sq(k, omega, z_s, geometry)
 
 
 def fixed_point_eigenfrequency(
@@ -417,11 +426,17 @@ def dispersive_modes(
     options: FixedPointOptions = FixedPointOptions(),
 ) -> list[Mode]:
     """Modes 1..n_max with complex eigenfrequencies from the dispersion fixed point."""
-    out = []
-    for mode in resonator_modes(geometry, n_max):
-        omega = fixed_point_eigenfrequency(mode.k_n, material, geometry, options)
-        out.append(replace(mode, omega_n=omega))
-    return out
+    return _with_eigenfrequencies(resonator_modes(geometry, n_max), material, geometry, options)
+
+
+def _with_eigenfrequencies(
+    lossless, material: Material, geometry: ResonatorGeometry, options: FixedPointOptions
+) -> list[Mode]:
+    """Copies of lossless modes carrying their dispersion fixed points."""
+    return [
+        replace(m, omega_n=fixed_point_eigenfrequency(m.k_n, material, geometry, options))
+        for m in lossless
+    ]
 
 
 def _mode_matrix(modes, geometry: ResonatorGeometry, x: np.ndarray) -> np.ndarray:
@@ -440,9 +455,9 @@ def greens_function(
     """Truncated bi-orthogonal Green's function at probe frequency omega (GHz).
 
     G(x, x'; omega) = sum_n Psi_n(x) Psi_n(x') / (omega^2 - omega_n^2(omega)),
-    with omega_n^2(omega) = (k_n^2 + i g omega c Z_s(omega)) / (ell_m c)
-    evaluated at the probe frequency.  Frequencies in rad/s internally; the
-    result carries the SI normalization of the modes.
+    with omega_n^2(omega) from ``_omega_n_sq`` evaluated at the probe
+    frequency.  Frequencies in rad/s internally; the result carries the SI
+    normalization of the modes.
 
     Probes with a negative real part are evaluated through the reality
     reflection of the impedance, Z_s(-conj(omega)) = conj(Z_s(omega)), which
@@ -457,9 +472,7 @@ def greens_function(
         z_s = np.conj(surface_impedance(material, -complex(omega_ghz).conjugate()))
     else:
         z_s = surface_impedance(material, complex(omega_ghz))
-    omega_n_sq = (
-        ks**2 + 1j * geometry.g_geom * omega * geometry.c_per_len * z_s
-    ) / (geometry.ell_m * geometry.c_per_len)
+    omega_n_sq = _omega_n_sq(ks, omega, z_s, geometry)
     roots = np.sqrt(omega_n_sq.astype(complex))
     if np.any(np.abs(omega - roots) <= 1e-9 * np.abs(roots)):
         raise PoleProximity(f"probe frequency {omega_ghz} GHz within 1e-9 of a pole")
@@ -567,10 +580,7 @@ def greens_identity_residual(
     n_grid = max(4097, 12 * len(modes) + 1)
     xg = np.linspace(0.0, geometry.length, n_grid)
     ks = np.array([m.k_n for m in modes])
-    omega_n_sq = (
-        ks**2 + 1j * geometry.g_geom * omega * geometry.c_per_len * z_s
-    ) / (geometry.ell_m * geometry.c_per_len)
-    den = omega * omega - omega_n_sq
+    den = omega * omega - _omega_n_sq(ks, omega, z_s, geometry)
     psi = _mode_matrix(modes, geometry, xg)
     psi1 = _mode_matrix(modes, geometry, np.array([x1]))[:, 0]
     psix = _mode_matrix(modes, geometry, np.array([x]))[:, 0]

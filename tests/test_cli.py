@@ -336,6 +336,20 @@ class TestLambShift:
         assert payload["totals"]["rows"][0][0] == "dispersion"
 
 
+    def test_all_modes_above_gap_is_a_config_error(self, tmp_path, capsys):
+        cfg = base_config(n_max=6)
+        cfg["material"] = {
+            "gap_frequency": 4.0,
+            "limit_regime": "extreme_anomalous",
+            "impedance_prefactor": CALIBRATED_A,
+        }
+        out = tmp_path / "shift.csv"
+        rc = run_cli(["lamb-shift", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert rc == 2
+        assert "total shift vanishes" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSpectralDensity:
     def test_zero_impedance_gives_zero_rows(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(n_max=30, impedance_prefactor=0.0))

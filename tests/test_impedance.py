@@ -171,6 +171,23 @@ class TestKramersKronig:
         # principal value machinery is bypassed below the gap.
         assert kk_residual(aluminum(0.0023), 43.5) < 0.02
 
+    @pytest.mark.parametrize(
+        "probe, lhs_hex",
+        [
+            (95.0, "0x1.4ff4f6a2e5479p+0"),
+            (108.75, "0x1.54ab74338ee80p+0"),
+            (150.0, "0x1.1eb4ddab67ae0p+0"),
+            (300.0, "0x1.84ba28d7f0bb7p-1"),
+            (2000.0, "0x1.861878c70f505p-2"),
+        ],
+    )
+    def test_above_gap_principal_value_is_frozen(self, probe, lhs_hex):
+        # Frozen from a per-cell running-sum trapezoid: the cells must still be
+        # added one by one in grid order (np.sum pairs them and moves the
+        # last bits).
+        lhs, _ = kk_parts(aluminum(CALIBRATED_A), probe)
+        assert lhs == float.fromhex(lhs_hex)
+
     def test_doubling_grid_extent_halves_residual(self):
         r1 = kk_residual(aluminum(0.0023), 10.0)
         r2 = kk_residual(aluminum(0.0023), 10.0, f_max_ghz=100.0 * 87.0, n_grid=8001)

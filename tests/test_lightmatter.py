@@ -379,6 +379,76 @@ class TestReport:
             normalized_convergence(np.array([1.0, -1.0]))
 
 
+class TestReportContents:
+    """The report carries the modes, comparator and mask its callers read."""
+
+    N = 20
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        geo = make_geometry()
+        qb = QubitParams(5.0, 0.0)
+        al = aluminum(CALIBRATED_A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = lamb_shift_report(qb, al, geo, self.N)
+            shifted = dispersive_modes(geo, al, self.N)
+        return geo, qb, al, rep, shifted
+
+    def test_modes_equal_dispersive_modes(self, setup):
+        _, _, _, rep, shifted = setup
+        assert rep.modes == shifted
+
+    def test_comparator_terms_and_mask_over_bare_modes(self, setup):
+        geo, qb, al, rep, _ = setup
+        bare = resonator_modes(geo, self.N)
+        np.testing.assert_array_equal(
+            rep.comparator_terms, [cc_comparator_term(m, qb, geo) for m in bare]
+        )
+        np.testing.assert_array_equal(
+            rep.below_gap, [al.reduced(m.omega_n.nu) < 2.0 for m in bare]
+        )
+        assert rep.totals.no_dispersion == float(rep.comparator_terms.sum())
+
+    def test_convergence_curves_match_the_manual_construction(self, setup):
+        geo, qb, al, rep, _ = setup
+        bare = resonator_modes(geo, self.N)
+        cc_terms = np.array([cc_comparator_term(m, qb, geo) for m in bare])
+        below = np.array([al.reduced(m.omega_n.nu) < 2.0 for m in bare])
+        curves = rep.convergence_curves()
+        assert list(curves) == ["dispersion", "below_bandgap", "no_dispersion"]
+        np.testing.assert_array_equal(curves["dispersion"], rep.normalized_curve)
+        np.testing.assert_array_equal(
+            curves["below_bandgap"], normalized_convergence(np.where(below, cc_terms, 0.0))
+        )
+        np.testing.assert_array_equal(
+            curves["no_dispersion"], normalized_convergence(cc_terms)
+        )
+
+    def test_rescaled_scales_the_comparator_with_its_total(self, setup):
+        _, _, _, rep, _ = setup
+        out = rescaled(rep, -272.6)
+        factor = -272.6 / rep.totals.no_dispersion
+        assert abs(out.comparator_terms.sum() - out.totals.no_dispersion) <= 1e-12 * 272.6
+        np.testing.assert_array_equal(out.comparator_terms, rep.comparator_terms * factor)
+        np.testing.assert_array_equal(out.per_mode_terms, rep.per_mode_terms * factor)
+        np.testing.assert_array_equal(out.partial_sums, rep.partial_sums * factor)
+        assert out.modes == rep.modes
+        np.testing.assert_array_equal(out.below_gap, rep.below_gap)
+
+    def test_all_modes_above_gap(self):
+        geo = make_geometry()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = lamb_shift_report(
+                QubitParams(5.5, 0.0), aluminum(CALIBRATED_A, gap_frequency=4.0), geo, 10
+            )
+        assert not rep.below_gap.any()
+        assert rep.totals.below_bandgap == 0.0
+        with pytest.raises(DomainError):
+            rep.convergence_curves()
+
+
 class TestNaiveCutoff:
     def test_reference_value(self):
         assert naive_cutoff(1e-14, 50.0) == pytest.approx(2e12, rel=1e-12)

@@ -42,9 +42,6 @@ class TestModuli:
     def test_real_axis_reference_point(self):
         m = moduli(ComplexFreq(4.0, 0.0))
         assert m.k == pytest.approx(1.0 / 3.0, rel=1e-14)
-        # The unit-modulus amplitude tends to 1 (not i) as kappa -> 0.
-        assert m.phase_theta == pytest.approx(1.0, rel=1e-14)
-        assert m.phase_phi == m.phase_theta
 
     def test_modulus_vanishes_at_gap_edge(self):
         m = moduli(ComplexFreq(2.0 + 1e-3, 0.0))
