@@ -21,6 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from dispersive_cqed.cli import bundled_geometry_configs, load_run_config
+from dispersive_cqed.errors import GapStraddle
 from dispersive_cqed.lightmatter import coupling_strength, lamb_shift_report
 from dispersive_cqed.modes import resonator_modes
 
@@ -41,9 +42,10 @@ def main(argv=None) -> int:
     material, geometry, qubit = run.material, run.geometry, run.qubit
     lossless = replace(material, impedance_prefactor=0.0)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", GapStraddle)
         report = lamb_shift_report(qubit, material, geometry, args.n_max, run.solver)
+    restarts = sum(issubclass(w.category, GapStraddle) for w in caught)
     bare = resonator_modes(geometry, args.n_max)  # only for the dispersionless couplings
 
     mode_lines = [
@@ -84,6 +86,7 @@ def main(argv=None) -> int:
     conv_path = out_dir / f"{path.stem}.convergence.csv"
     modes_path.write_text("\n".join(mode_lines) + "\n", newline="\n")
     conv_path.write_text("\n".join(conv_lines) + "\n", newline="\n")
+    print(f"{path.stem}: gap restarts = {restarts}", file=sys.stderr)
     print(f"wrote {modes_path} and {conv_path}", file=sys.stderr)
     return 0
 

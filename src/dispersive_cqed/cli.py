@@ -499,8 +499,13 @@ def _cmd_lamb_shift(run: RunConfig, args: argparse.Namespace) -> list[Table]:
     for n, term in enumerate(report.per_mode_terms, start=1):
         per_mode.rows.append([n, term.real, term.imag])
 
-    curves = report.convergence_curves()
-    models = list(curves) if args.model == "all" else [args.model]
+    # Only the requested curves: below_bandgap is undefined when every mode
+    # lies above the gap, and the other models must still print there.
+    if args.model == "all":
+        curves = report.convergence_curves()
+    else:
+        curves = {args.model: report._convergence_curve(args.model)}
+    models = list(curves)
     convergence = Table(
         name="convergence",
         columns=["M"] + (["value"] if len(models) == 1 else models),

@@ -28,11 +28,16 @@ Conventions used throughout this module
 from __future__ import annotations
 
 import math
+import operator
+import sys
+import threading
+import warnings
+from collections import OrderedDict
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .errors import AboveGapMode, DomainError, QubitOnResonance
+from .errors import AboveGapMode, DomainError, GapStraddle, QubitOnResonance
 from .impedance import _TWO_PI_GHZ, Material, epsilon
 from .modes import (
     FixedPointOptions,
@@ -45,6 +50,8 @@ from .modes import (
 )
 
 _RESONANCE_REL_TOL = 1e-6
+_SPECTRUM_MEMO_SIZE = 16  # modal spectra kept for reuse by later reports
+_MODELS = ("dispersion", "below_bandgap", "no_dispersion")
 
 
 @dataclass(frozen=True)
@@ -103,13 +110,15 @@ class LambShiftReport:
         Computed on demand: raises DomainError if a model's total vanishes,
         as below_bandgap does when every mode lies above the gap.
         """
-        return {
-            "dispersion": self.normalized_curve,
-            "below_bandgap": normalized_convergence(
-                np.where(self.below_gap, self.comparator_terms, 0.0)
-            ),
-            "no_dispersion": normalized_convergence(self.comparator_terms),
-        }
+        return {model: self._convergence_curve(model) for model in _MODELS}
+
+    def _convergence_curve(self, model: str) -> np.ndarray:
+        if model == "dispersion":
+            return self.normalized_curve
+        terms = self.comparator_terms
+        if model == "below_bandgap":
+            terms = np.where(self.below_gap, terms, 0.0)
+        return normalized_convergence(terms)
 
 
 def _check_position(qubit: QubitParams, geometry: ResonatorGeometry) -> None:
@@ -202,14 +211,18 @@ def lamb_shift_term_branches(
     can be checked branch by branch.
     """
     _check_position(qubit, geometry)
-    omega_q = qubit.omega_q
-    nu = mode.omega_n.nu
-    _check_resonance(omega_q, nu)
-    omega_p = complex(nu, mode.omega_n.kappa)
+    _check_resonance(qubit.omega_q, mode.omega_n.nu)
+    omega_p = complex(mode.omega_n.nu, mode.omega_n.kappa)
     eps = epsilon(material, geometry.g_geom, geometry.ell_m, omega_p).value
+    psi = _dimensionless_amplitude(mode, geometry, qubit.x_q)
+    return _pole_branches(omega_p, eps, psi, qubit)
+
+
+def _pole_branches(omega_p: complex, eps, psi: float, qubit: QubitParams):
+    """Mirror branches of T_n (MHz) from the pole, eps(omega_p) and psi."""
+    omega_q = qubit.omega_q
     b = -1j * abs(eps) ** 2 - eps.real * eps.imag
-    psi_sq = _dimensionless_amplitude(mode, geometry, qubit.x_q) ** 2
-    pref = 1j * qubit.dipole_prefactor**2 * psi_sq * 1e3  # GHz -> MHz
+    pref = 1j * qubit.dipole_prefactor**2 * psi**2 * 1e3  # GHz -> MHz
     plus = pref * omega_p * b / (omega_q - omega_p)
     minus = pref * omega_p.conjugate() * b.conjugate() / (omega_q + omega_p.conjugate())
     return plus, minus
@@ -245,11 +258,14 @@ def cc_comparator_term(
     modes straight from :func:`resonator_modes`.
     """
     _check_position(qubit, geometry)
+    _check_resonance(qubit.omega_q, mode.omega_n.nu)
+    return _comparator(mode.omega_n.nu, _dimensionless_amplitude(mode, geometry, qubit.x_q), qubit)
+
+
+def _comparator(omega_n: float, psi: float, qubit: QubitParams) -> float:
+    """Dispersionless term (MHz) of a mode at frequency omega_n with amplitude psi."""
     omega_q = qubit.omega_q
-    omega_n = mode.omega_n.nu
-    _check_resonance(omega_q, omega_n)
-    psi_sq = _dimensionless_amplitude(mode, geometry, qubit.x_q) ** 2
-    term = omega_n * psi_sq * (1.0 / (omega_q - omega_n) - 1.0 / (omega_q + omega_n))
+    term = omega_n * psi**2 * (1.0 / (omega_q - omega_n) - 1.0 / (omega_q + omega_n))
     return qubit.dipole_prefactor**2 * term * 1e3
 
 
@@ -260,6 +276,81 @@ def normalized_convergence(per_mode_terms) -> np.ndarray:
     if total == 0.0:
         raise DomainError("total shift vanishes; normalized curve undefined")
     return (partial.real if np.iscomplexobj(partial) else partial) / total
+
+
+@dataclass(frozen=True)
+class _ModalSpectrum:
+    """The qubit-independent half of a report, fixed by the device alone.
+
+    ``lossless`` are the bare modes, ``dispersive`` the same modes carrying
+    their dispersion fixed points, ``eps`` the refractive index at each pole
+    and ``below_gap`` flags the bare frequencies below the gap.
+    """
+
+    lossless: tuple[Mode, ...]
+    dispersive: tuple[Mode, ...]
+    eps: tuple[complex, ...]
+    below_gap: np.ndarray
+
+
+# (material, geometry, n_max, options) -> _ModalSpectrum, least recently used first.
+# The lock also keeps the warning capture of a solve to one thread at a time.
+_spectra: OrderedDict = OrderedDict()
+_spectra_lock = threading.Lock()
+
+
+def _solve_spectrum(
+    material: Material, geometry: ResonatorGeometry, n_max: int, options: FixedPointOptions
+) -> _ModalSpectrum:
+    lossless = tuple(resonator_modes(geometry, n_max))
+    dispersive = tuple(_with_eigenfrequencies(lossless, material, geometry, options))
+    eps = tuple(
+        epsilon(
+            material, geometry.g_geom, geometry.ell_m, complex(m.omega_n.nu, m.omega_n.kappa)
+        ).value
+        for m in dispersive
+    )
+    below_gap = np.array([material.reduced(m.omega_n.nu) < 2.0 for m in lossless])
+    return _ModalSpectrum(lossless, dispersive, eps, below_gap)
+
+
+def _reissue(caught) -> None:
+    """Issue recorded warnings again, attributed to the module that raised them,
+    so that filters naming a module still apply."""
+    modules = {getattr(m, "__file__", None): name for name, m in list(sys.modules.items())}
+    for w in caught:
+        warnings.warn_explicit(
+            w.message, w.category, w.filename, w.lineno, module=modules.get(w.filename)
+        )
+
+
+def _modal_spectrum(
+    material: Material, geometry: ResonatorGeometry, n_max: int, options: FixedPointOptions
+) -> _ModalSpectrum:
+    """The device's modal spectrum, solved on the first request and then reused.
+
+    A solve that warned (a GapStraddle restart) is not kept, so its warnings
+    are issued again on every call: they are recorded during the solve and
+    re-issued after it.
+    """
+    key = (material, geometry, operator.index(n_max), options)
+    with _spectra_lock:
+        spectrum = _spectra.get(key)
+        if spectrum is not None:
+            _spectra.move_to_end(key)
+            return spectrum
+        caught = []
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", GapStraddle)
+                spectrum = _solve_spectrum(material, geometry, n_max, options)
+        finally:
+            _reissue(caught)
+        if not caught:
+            _spectra[key] = spectrum
+            if len(_spectra) > _SPECTRUM_MEMO_SIZE:
+                _spectra.popitem(last=False)
+        return spectrum
 
 
 def lamb_shift_report(
@@ -276,17 +367,29 @@ def lamb_shift_report(
     bare frequencies and eps = 1; totals.below_bandgap truncates that
     comparator at the gap edge.  The report keeps the modes, the comparator
     terms and the below-gap mask, so callers need not rebuild them.
+
+    The modes, their fixed points and eps at each pole do not depend on the
+    qubit: they are solved once per (material, geometry, n_max, options) and
+    reused by later reports on the same device.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     _check_position(qubit, geometry)
-    lossless = resonator_modes(geometry, n_max)
-    dispersive = _with_eigenfrequencies(lossless, material, geometry, options)
-    terms = lamb_shift_terms(dispersive, qubit, material, geometry)
+    spectrum = _modal_spectrum(material, geometry, n_max, options)
+    psi = [_dimensionless_amplitude(m, geometry, qubit.x_q) for m in spectrum.lossless]
+    terms = np.empty(len(psi), dtype=complex)
+    for i, (mode, eps, amp) in enumerate(zip(spectrum.dispersive, spectrum.eps, psi)):
+        _check_resonance(qubit.omega_q, mode.omega_n.nu)
+        plus, minus = _pole_branches(complex(mode.omega_n.nu, mode.omega_n.kappa), eps, amp, qubit)
+        terms[i] = plus + minus
     normalized = normalized_convergence(terms)
     partial = np.cumsum(terms)
-    cc_terms = np.array([cc_comparator_term(m, qubit, geometry) for m in lossless])
-    below_gap = np.array([material.reduced(m.omega_n.nu) < 2.0 for m in lossless])
+    for mode in spectrum.lossless:
+        _check_resonance(qubit.omega_q, mode.omega_n.nu)
+    cc_terms = np.array(
+        [_comparator(m.omega_n.nu, amp, qubit) for m, amp in zip(spectrum.lossless, psi)]
+    )
+    below_gap = spectrum.below_gap.copy()
     return LambShiftReport(
         per_mode_terms=terms,
         partial_sums=partial,
@@ -297,7 +400,7 @@ def lamb_shift_report(
             no_dispersion=float(cc_terms.sum()),
         ),
         convergence_index_70pct=int(np.argmax(normalized >= 0.70)) + 1,
-        modes=dispersive,
+        modes=list(spectrum.dispersive),
         comparator_terms=cc_terms,
         below_gap=below_gap,
     )

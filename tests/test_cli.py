@@ -349,6 +349,43 @@ class TestLambShift:
         assert "total shift vanishes" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["dispersion", "no_dispersion"])
+    def test_all_modes_above_gap_prints_the_defined_curves(self, tmp_path, model):
+        # Only the below-bandgap curve is undefined there; a run that does
+        # not ask for it prints its curve and all three totals.
+        cfg = base_config(n_max=6)
+        cfg["material"] = {
+            "gap_frequency": 4.0,
+            "limit_regime": "extreme_anomalous",
+            "impedance_prefactor": CALIBRATED_A,
+        }
+        out = tmp_path / "shift.csv"
+        rc = run_cli(["lamb-shift", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                      "--model", model])
+        assert rc == 0
+        meta, columns, rows = parse_csv((tmp_path / "shift.convergence.csv").read_text())
+        assert meta["models"] == model
+        assert columns == ["M", "value"]
+        assert len(rows) == 6 and float(rows[-1][1]) == 1.0
+        _, _, rows = parse_csv((tmp_path / "shift.totals.csv").read_text())
+        totals = {r[0]: float(r[1]) for r in rows}
+        assert totals["below_bandgap"] == 0.0
+        assert totals["dispersion"] < 0.0 and totals["no_dispersion"] < 0.0
+
+    def test_all_modes_above_gap_below_bandgap_model_is_a_config_error(self, tmp_path, capsys):
+        cfg = base_config(n_max=6)
+        cfg["material"] = {
+            "gap_frequency": 4.0,
+            "limit_regime": "extreme_anomalous",
+            "impedance_prefactor": CALIBRATED_A,
+        }
+        out = tmp_path / "shift.csv"
+        rc = run_cli(["lamb-shift", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                      "--model", "below_bandgap"])
+        assert rc == 2
+        assert "total shift vanishes" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSpectralDensity:
     def test_zero_impedance_gives_zero_rows(self, tmp_path, capsys):

@@ -1,18 +1,25 @@
 """Couplings, spectral density, Lamb-shift terms, report assembly."""
 
 import math
+import sys
+import threading
 import warnings
-from dataclasses import replace
+from collections import OrderedDict
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
+import dispersive_cqed.impedance as impedance_module
+import dispersive_cqed.lightmatter as lightmatter
+import dispersive_cqed.modes as modes_module
 from dispersive_cqed.errors import (
     AboveGapMode,
     DomainError,
+    GapStraddle,
     PoleProximity,
     QubitOnResonance,
 )
@@ -31,6 +38,7 @@ from dispersive_cqed.lightmatter import (
 )
 from dispersive_cqed.mattis_bardeen import ComplexFreq
 from dispersive_cqed.modes import (
+    QubitLoad,
     dispersive_modes,
     mode_function,
     resonator_modes,
@@ -462,3 +470,171 @@ class TestNaiveCutoff:
             naive_cutoff(0.0, 50.0)
         with pytest.raises(DomainError):
             naive_cutoff(1e-14, -50.0)
+
+
+def _assert_identical_reports(a, b):
+    for name in ("per_mode_terms", "partial_sums", "normalized_curve", "comparator_terms",
+                 "below_gap"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.totals == b.totals
+    assert a.convergence_index_70pct == b.convergence_index_70pct
+    assert a.modes == b.modes
+
+
+class TestSpectrumMemo:
+    """Reports on one device share its qubit-independent modal spectrum."""
+
+    N = 20
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        spectra = OrderedDict()
+        monkeypatch.setattr(lightmatter, "_spectra", spectra)
+        return spectra
+
+    @pytest.fixture
+    def impedance_calls(self, monkeypatch):
+        calls = []
+        original = impedance_module.surface_impedance
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (impedance_module, modes_module):
+            monkeypatch.setattr(module, "surface_impedance", counted)
+        return calls
+
+    def test_second_report_solves_nothing_and_equals_a_cold_one(self, memo, impedance_calls):
+        geo, al = make_geometry(), aluminum(CALIBRATED_A)
+        lamb_shift_report(QubitParams(5.0, 0.0), al, geo, self.N)
+        assert len(impedance_calls) > 0
+        impedance_calls.clear()
+        qubit = QubitParams(4.2, 0.3 * geo.length, dipole_prefactor=1.7)
+        warm = lamb_shift_report(qubit, al, geo, self.N)
+        assert impedance_calls == []
+        memo.clear()
+        cold = lamb_shift_report(qubit, al, geo, self.N)
+        assert len(impedance_calls) > 0
+        _assert_identical_reports(warm, cold)
+
+    def test_geometries_differing_only_in_g_geom_do_not_share(self, memo, impedance_calls):
+        al, qubit = aluminum(CALIBRATED_A), QubitParams(5.0, 0.0)
+        strong, weak = make_geometry(g_geom=3.0e6), make_geometry(g_geom=1.5e6)
+        a = lamb_shift_report(qubit, al, strong, self.N)
+        solved = len(impedance_calls)
+        b = lamb_shift_report(qubit, al, weak, self.N)
+        assert len(impedance_calls) > solved
+        assert len(memo) == 2
+        assert a.modes != b.modes
+        memo.clear()
+        _assert_identical_reports(b, lamb_shift_report(qubit, al, weak, self.N))
+
+    def test_mutating_a_report_leaves_the_next_one_unchanged(self, memo):
+        geo, al, qubit = make_geometry(), aluminum(CALIBRATED_A), QubitParams(5.0, 0.0)
+        first = lamb_shift_report(qubit, al, geo, self.N)
+        modes, mask = list(first.modes), first.below_gap.copy()
+        first.modes.reverse()
+        first.modes.append(None)
+        first.below_gap[:] = ~first.below_gap
+        second = lamb_shift_report(qubit, al, geo, self.N)
+        assert second.modes == modes
+        np.testing.assert_array_equal(second.below_gap, mask)
+
+    def test_restarting_solve_warns_on_every_call(self, memo):
+        # The gap sits just under mode 1's bare frequency, and the red shift
+        # pulls the mode across it: one GapStraddle restart per solve.
+        geo = make_geometry()
+        f1 = resonator_modes(geo, 1)[0].omega_n.nu
+        material = aluminum(CALIBRATED_A, gap_frequency=0.999 * f1)
+        for omega_q in (3.0, 3.5):
+            with pytest.warns(GapStraddle):
+                lamb_shift_report(QubitParams(omega_q, 0.0), material, geo, 3)
+        assert len(memo) == 0
+        # Re-issued from the solver's module, so a filter naming it still applies.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.filterwarnings("ignore", category=GapStraddle, module="dispersive_cqed")
+            lamb_shift_report(QubitParams(4.0, 0.0), material, geo, 3)
+        assert caught == []
+
+    def test_memo_never_grows_past_its_bound(self, memo):
+        geo, qubit = make_geometry(), QubitParams(5.0, 0.0)
+        bound = lightmatter._SPECTRUM_MEMO_SIZE
+        for n_max in range(1, bound + 5):
+            lamb_shift_report(qubit, aluminum(0.0), geo, n_max)
+            assert len(memo) <= bound
+        assert [key[2] for key in memo] == list(range(5, bound + 5))  # oldest went first
+
+    def test_concurrent_reports_past_the_bound(self, memo):
+        # Four threads cycle through more devices than the memo holds, so
+        # hits, stores, evictions and the warning capture of solves interleave;
+        # overlapping captures would leave the process's warning state altered.
+        geo, material = make_geometry(), aluminum(0.0)
+        sizes = range(1, lightmatter._SPECTRUM_MEMO_SIZE + 9)
+        expected = {n: lamb_shift_report(QubitParams(5.0, 0.0), material, geo, n).totals
+                    for n in sizes}
+        memo.clear()
+        failures = []
+        filters, showwarning = list(warnings.filters), warnings.showwarning
+
+        def worker(offset):
+            try:
+                for i in range(60):
+                    n = sizes[(7 * i + offset) % len(sizes)]
+                    got = lamb_shift_report(QubitParams(5.0, 0.0), material, geo, n).totals
+                    if got != expected[n]:
+                        failures.append((n, got))
+            except Exception as exc:  # reported below, in the test thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert len(memo) <= lightmatter._SPECTRUM_MEMO_SIZE
+        assert warnings.filters == filters and warnings.showwarning is showwarning
+
+
+class TestMirrorSymmetry:
+    """Reflecting the line (x -> L - x for the loads and the qubit) keeps the totals."""
+
+    N = 20
+
+    def _totals(self, loads, x_q):
+        geometry = replace(make_geometry(), qubits=tuple(loads))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = lamb_shift_report(
+                QubitParams(5.0, x_q), aluminum(CALIBRATED_A), geometry, self.N
+            )
+        return astuple(report.totals)
+
+    def _assert_mirror_invariant(self, loads, x_q):
+        length = make_geometry().length
+        mirrored = [QubitLoad(length - q.position, q.c_series) for q in reversed(loads)]
+        direct, reflected = self._totals(loads, x_q), self._totals(mirrored, length - x_q)
+        for a, b in zip(direct, reflected):
+            assert abs(a - b) <= 1e-10 * abs(a)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0))
+    @example(0.0)
+    @example(1.0)
+    def test_load_and_qubit_together(self, fraction):
+        x = fraction * make_geometry().length
+        self._assert_mirror_invariant([QubitLoad(x, 1.0e-14)], x)
+
+    def test_three_load_line(self):
+        length = make_geometry().length
+        loads = [QubitLoad(0.0, 1.0e-14), QubitLoad(0.37 * length, 2.0e-14),
+                 QubitLoad(0.81 * length, 5.0e-15)]
+        self._assert_mirror_invariant(loads, loads[1].position)
