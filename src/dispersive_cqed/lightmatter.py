@@ -43,6 +43,8 @@ from .modes import (
     FixedPointOptions,
     Mode,
     ResonatorGeometry,
+    _eval_segments,
+    _stack,
     _with_eigenfrequencies,
     greens_function,
     mode_function,
@@ -128,9 +130,12 @@ def _check_position(qubit: QubitParams, geometry: ResonatorGeometry) -> None:
         )
 
 
+def _amplitude_scale(geometry: ResonatorGeometry) -> float:
+    return math.sqrt(geometry.ell_m * geometry.c_per_len * geometry.length)
+
+
 def _dimensionless_amplitude(mode: Mode, geometry: ResonatorGeometry, x: float) -> float:
-    scale = math.sqrt(geometry.ell_m * geometry.c_per_len * geometry.length)
-    return float(mode_function(mode, geometry, x)) * scale
+    return float(mode_function(mode, geometry, x)) * _amplitude_scale(geometry)
 
 
 def _check_resonance(omega_q: float, nu_n: float) -> None:
@@ -284,13 +289,15 @@ class _ModalSpectrum:
 
     ``lossless`` are the bare modes, ``dispersive`` the same modes carrying
     their dispersion fixed points, ``eps`` the refractive index at each pole
-    and ``below_gap`` flags the bare frequencies below the gap.
+    and ``below_gap`` flags the bare frequencies below the gap.  ``stack``
+    holds the spatial data of the modes as ``modes._eval_segments`` takes it.
     """
 
     lossless: tuple[Mode, ...]
     dispersive: tuple[Mode, ...]
     eps: tuple[complex, ...]
     below_gap: np.ndarray
+    stack: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 # (material, geometry, n_max, options) -> _ModalSpectrum, least recently used first.
@@ -311,7 +318,7 @@ def _solve_spectrum(
         for m in dispersive
     )
     below_gap = np.array([material.reduced(m.omega_n.nu) < 2.0 for m in lossless])
-    return _ModalSpectrum(lossless, dispersive, eps, below_gap)
+    return _ModalSpectrum(lossless, dispersive, eps, below_gap, _stack(lossless))
 
 
 def _reissue(caught) -> None:
@@ -376,7 +383,8 @@ def lamb_shift_report(
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     _check_position(qubit, geometry)
     spectrum = _modal_spectrum(material, geometry, n_max, options)
-    psi = [_dimensionless_amplitude(m, geometry, qubit.x_q) for m in spectrum.lossless]
+    at_qubit = _eval_segments(np.array([qubit.x_q]), *spectrum.stack, geometry)[:, 0]
+    psi = (at_qubit * _amplitude_scale(geometry)).tolist()
     terms = np.empty(len(psi), dtype=complex)
     for i, (mode, eps, amp) in enumerate(zip(spectrum.dispersive, spectrum.eps, psi)):
         _check_resonance(qubit.omega_q, mode.omega_n.nu)

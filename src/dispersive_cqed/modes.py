@@ -37,7 +37,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import (
     BracketingFailure,
@@ -253,19 +252,39 @@ def _normalization(k: float, geometry: ResonatorGeometry, segments) -> float:
     total = 0.0
     for (p, q), a, b in zip(segments, breaks[:-1], breaks[1:]):
         total += geometry.c_per_len * _segment_square_integral(p, q, k, a, b)
-    for load in geometry.qubits:
-        psi = _eval_segments(np.array([load.position]), k, geometry, segments, 1.0)[0]
+    positions = np.array([load.position for load in geometry.qubits])
+    at_loads = _eval_segments(positions, np.array([k]), np.ones(1), np.array([segments]), geometry)
+    for load, psi in zip(geometry.qubits, at_loads[0].tolist()):
         total += load.c_series * psi * psi
     total *= geometry.ell_m
     return 1.0 / math.sqrt(total)
 
 
-def _eval_segments(x: np.ndarray, k: float, geometry: ResonatorGeometry, segments, norm):
+def _eval_segments(
+    x: np.ndarray, k: np.ndarray, norm: np.ndarray, amplitudes: np.ndarray,
+    geometry: ResonatorGeometry,
+) -> np.ndarray:
+    """Psi of a stack of modes at the points ``x`` (1-d), shape (k.size, x.size).
+
+    ``k`` and ``norm`` hold one entry per mode and ``amplitudes`` each mode's
+    (P, Q) per segment, shape (modes, segments, 2); the segment breaks are
+    the geometry's, shared by every mode.
+    """
+    if np.any((x < 0.0) | (x > geometry.length)):
+        raise DomainError("x outside the resonator")
     breaks = _segment_breaks(geometry)
-    idx = np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, len(segments) - 1)
-    p = np.array([segments[i][0] for i in range(len(segments))])[idx]
-    q = np.array([segments[i][1] for i in range(len(segments))])[idx]
-    return norm * (p * np.cos(k * x) + q * np.sin(k * x))
+    idx = np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, amplitudes.shape[1] - 1)
+    kx = k[:, None] * x
+    return norm[:, None] * (amplitudes[:, idx, 0] * np.cos(kx) + amplitudes[:, idx, 1] * np.sin(kx))
+
+
+def _stack(modes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, norm, amplitudes) of a mode list, as ``_eval_segments`` takes them."""
+    return (
+        np.array([m.k_n for m in modes]),
+        np.array([m.norm for m in modes]),
+        np.array([m.segment_amplitudes for m in modes], dtype=float),
+    )
 
 
 def build_mode(n: int, k: float, geometry: ResonatorGeometry) -> Mode:
@@ -289,10 +308,8 @@ def resonator_modes(geometry: ResonatorGeometry, n_max: int) -> list[Mode]:
 def mode_function(mode: Mode, geometry: ResonatorGeometry, x) -> np.ndarray | float:
     """Normalized mode amplitude Psi_n(x); scalar or ndarray ``x`` in [0, L]."""
     x_arr = np.asarray(x, dtype=float)
-    if np.any((x_arr < 0.0) | (x_arr > geometry.length)):
-        raise DomainError("x outside the resonator")
-    out = _eval_segments(np.atleast_1d(x_arr), mode.k_n, geometry, mode.segment_amplitudes, mode.norm)
-    return out if x_arr.ndim else float(out[0])
+    out = _mode_matrix([mode], geometry, x_arr.ravel())[0]
+    return out.reshape(x_arr.shape) if x_arr.ndim else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -440,8 +457,8 @@ def _with_eigenfrequencies(
 
 
 def _mode_matrix(modes, geometry: ResonatorGeometry, x: np.ndarray) -> np.ndarray:
-    """Psi_n(x) stacked as shape (n_modes, x.size)."""
-    return np.vstack([mode_function(m, geometry, x) for m in modes])
+    """Psi_n(x) at the points ``x`` (1-d) as shape (n_modes, x.size)."""
+    return _eval_segments(x, *_stack(modes), geometry)
 
 
 def greens_function(
@@ -477,9 +494,18 @@ def greens_function(
     if np.any(np.abs(omega - roots) <= 1e-9 * np.abs(roots)):
         raise PoleProximity(f"probe frequency {omega_ghz} GHz within 1e-9 of a pole")
     den = omega * omega - omega_n_sq
-    psi_x = _mode_matrix(modes, geometry, np.atleast_1d(np.asarray(x, dtype=float)))[:, 0]
-    psi_xp = _mode_matrix(modes, geometry, np.atleast_1d(np.asarray(x_prime, dtype=float)))[:, 0]
-    return complex(np.sum(psi_x * psi_xp / den))
+    psi = _mode_matrix(modes, geometry, np.array([x, x_prime], dtype=float))
+    return complex(np.sum(psi[:, 0] * psi[:, 1] / den))
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float | complex:
+    """Composite Simpson rule for samples ``y`` on a uniform grid ``x`` of odd length.
+
+    Both callers build such a grid with ``linspace``; an even length is not
+    supported.
+    """
+    h = (x[-1] - x[0]) / (x.size - 1)
+    return h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2]))
 
 
 def _weighted_inner(
@@ -487,7 +513,7 @@ def _weighted_inner(
     f_at_loads: np.ndarray, g_at_loads: np.ndarray,
 ) -> float | complex:
     """<f, g> with weight ell_m c(x), delta terms included; Simpson in x."""
-    bulk = simpson(f_vals * g_vals, x=x_grid) * geometry.c_per_len
+    bulk = _simpson(f_vals * g_vals, x_grid) * geometry.c_per_len
     point = sum(
         load.c_series * fa * ga
         for load, fa, ga in zip(geometry.qubits, f_at_loads, g_at_loads)
@@ -524,9 +550,7 @@ def completeness_residual(geometry: ResonatorGeometry, modes, test_function) -> 
     f = np.asarray([test_function(xi) for xi in x], dtype=float)
     f_loads = np.asarray([test_function(xi) for xi in x_loads], dtype=float)
     psi = _mode_matrix(modes, geometry, x)
-    psi_loads = (
-        _mode_matrix(modes, geometry, x_loads) if x_loads.size else np.zeros((len(modes), 0))
-    )
+    psi_loads = _mode_matrix(modes, geometry, x_loads)
     psi0 = zero_mode_amplitude(geometry)
     coeffs = np.array(
         [
@@ -540,7 +564,7 @@ def completeness_residual(geometry: ResonatorGeometry, modes, test_function) -> 
         ]
     )
     recon = coeffs[0] * psi0 + coeffs[1:] @ psi
-    recon_loads = coeffs[0] * psi0 + (coeffs[1:] @ psi_loads if x_loads.size else 0.0)
+    recon_loads = coeffs[0] * psi0 + coeffs[1:] @ psi_loads
     defect = f - recon
     defect_loads = f_loads - recon_loads
     num = _weighted_inner(geometry, x, defect, defect, defect_loads, defect_loads)
@@ -586,14 +610,10 @@ def greens_identity_residual(
     psix = _mode_matrix(modes, geometry, np.array([x]))[:, 0]
     g1 = (psi1 / den) @ psi  # G(x1, x') on the grid
     gx = (psix / den) @ psi
-    x_loads = np.array([q.position for q in geometry.qubits])
-    if x_loads.size:
-        psi_l = _mode_matrix(modes, geometry, x_loads)
-        g1_l = (psi1 / den) @ psi_l
-        gx_l = (psix / den) @ psi_l
-    else:
-        g1_l = gx_l = np.zeros(0, dtype=complex)
-    bulk = simpson(np.conj(g1) * gx, x=xg) * geometry.c_per_len
+    psi_l = _mode_matrix(modes, geometry, np.array([q.position for q in geometry.qubits]))
+    g1_l = (psi1 / den) @ psi_l
+    gx_l = (psix / den) @ psi_l
+    bulk = _simpson(np.conj(g1) * gx, xg) * geometry.c_per_len
     point = sum(
         load.c_series * np.conj(a) * b for load, a, b in zip(geometry.qubits, g1_l, gx_l)
     )
@@ -607,4 +627,4 @@ def greens_identity_residual(
     scale = max(abs(lhs), abs(rhs))
     if scale == 0.0:
         return 0.0
-    return abs(lhs - rhs) / scale
+    return float(abs(lhs - rhs) / scale)

@@ -1,6 +1,8 @@
 """Shared fixtures and the finite-difference eigenfrequency oracle."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,19 @@ from dispersive_cqed.modes import QubitLoad, ResonatorGeometry, derive_line_cons
 # strongest-coupling bundled geometry (g_geom = 3e6 / m); all device-family
 # tests share it so below/above-gap mode counts stay fixed.
 CALIBRATED_A = 0.002291557365120274
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env() -> dict:
+    """This environment with the absolute ``src`` path prepended to PYTHONPATH.
+
+    A child interpreter does not inherit pytest's ``pythonpath`` setting, so
+    without it an uninstalled checkout cannot import the package.
+    """
+    inherited = os.environ.get("PYTHONPATH")
+    path = os.pathsep.join([str(SRC), inherited]) if inherited else str(SRC)
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def make_geometry(

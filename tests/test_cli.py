@@ -13,7 +13,7 @@ from dispersive_cqed.cli import bundled_geometry_configs, load_run_config, main
 from dispersive_cqed.mattis_bardeen import sigma_real_axis
 from dispersive_cqed.modes import resonator_modes
 
-from conftest import CALIBRATED_A
+from conftest import CALIBRATED_A, child_env
 
 NU1_LOSSLESS = 5.964218873719574  # fundamental of the shared end-loaded line
 
@@ -476,6 +476,20 @@ class TestEntryPoint:
              "conductivity", "--config", path, "--nu", "4"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("# command: conductivity")
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test oracle only; the CLI's import must not pay for it.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, dispersive_cqed.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

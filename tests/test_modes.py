@@ -1,5 +1,6 @@
 """Secular roots, mode functions, dispersion fixed point, Green's function."""
 
+import bisect
 import math
 import warnings
 
@@ -23,6 +24,8 @@ from dispersive_cqed.modes import (
     Mode,
     QubitLoad,
     ResonatorGeometry,
+    _mode_matrix,
+    _simpson,
     completeness_residual,
     derive_line_constants,
     dispersive_modes,
@@ -169,6 +172,70 @@ class TestModeFunctions:
         geo = make_geometry()
         total = ELL_M * (C_LEN * L + sum(q.c_series for q in geo.qubits))
         assert zero_mode_amplitude(geo) == pytest.approx(1.0 / math.sqrt(total), rel=1e-14)
+
+
+# Loads at the Neumann end, inside the line and at the far end.
+THREE_LOADS = ResonatorGeometry(
+    L, ELL_M, C_LEN, 0.0, (QubitLoad(0.0, 1e-14), QubitLoad(0.0041, 2e-14), QubitLoad(L, 5e-15))
+)
+THREE_LOAD_MODES = resonator_modes(THREE_LOADS, 12)
+
+
+def _psi_reference(mode, geometry, x):
+    """norm (P cos kx + Q sin kx) in pure math, on the segment bisect finds for x."""
+    interior = [q.position for q in geometry.qubits if 0.0 < q.position < geometry.length]
+    p, q = mode.segment_amplitudes[bisect.bisect_right(interior, x)]
+    return mode.norm * (p * math.cos(mode.k_n * x) + q * math.sin(mode.k_n * x))
+
+
+class TestModeKernel:
+    """The batched Psi kernel against a scalar pure-math evaluation."""
+
+    SCALE = max(m.norm * math.hypot(p, q) for m in THREE_LOAD_MODES for p, q in m.segment_amplitudes)
+
+    def _check(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        batched = _mode_matrix(THREE_LOAD_MODES, THREE_LOADS, xs)
+        assert batched.shape == (len(THREE_LOAD_MODES), xs.size)
+        for i, m in enumerate(THREE_LOAD_MODES):
+            ref = np.array([_psi_reference(m, THREE_LOADS, x) for x in xs.tolist()])
+            np.testing.assert_allclose(batched[i], ref, rtol=0.0, atol=1e-14 * self.SCALE)
+            np.testing.assert_allclose(mode_function(m, THREE_LOADS, xs), ref, rtol=0.0,
+                                       atol=1e-14 * self.SCALE)
+            for x, r in zip(xs.tolist(), ref.tolist()):
+                got = mode_function(m, THREE_LOADS, x)
+                assert type(got) is float
+                assert abs(got - r) <= 1e-14 * self.SCALE
+
+    def test_breaks_and_ends(self):
+        self._check([0.0, 0.0041, L])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(0.0, L, exclude_min=True, exclude_max=True), min_size=1, max_size=16))
+    def test_interior_points(self, xs):
+        self._check(xs)
+
+    def test_shape_and_domain(self):
+        m = THREE_LOAD_MODES[3]
+        grid = np.linspace(0.0, L, 12).reshape(3, 4)
+        assert mode_function(m, THREE_LOADS, grid).shape == (3, 4)
+        for x in (-1e-12, L * (1.0 + 1e-12)):
+            with pytest.raises(DomainError):
+                mode_function(m, THREE_LOADS, x)
+        with pytest.raises(DomainError):
+            _mode_matrix(THREE_LOAD_MODES, THREE_LOADS, np.array([0.5 * L, 1.5 * L]))
+
+
+class TestSimpson:
+    """The composite Simpson helper against scipy's as the oracle."""
+
+    @pytest.mark.parametrize("n_grid", [4097, 16 * 400 + 1])
+    def test_matches_scipy(self, n_grid):
+        x = np.linspace(0.0, L, n_grid)
+        real = np.exp(-0.5 * ((x - 0.006) / 0.001) ** 2) * (1.0 + 0.5 * np.cos(37.0 * x / L))
+        cplx = real * np.exp(3j * x / L) + 0.2j * np.sin(11.0 * x / L) ** 2
+        for y in (real, cplx):
+            np.testing.assert_allclose(_simpson(y, x), simpson(y, x=x), rtol=1e-13)
 
 
 class TestFixedPoint:
@@ -371,6 +438,7 @@ class TestGreensIdentity:
     def test_full_mode_list_is_exact(self, setup):
         geo, al, modes = setup
         r = greens_identity_residual(0.0023, 0.0071, 120.0, geo, al, modes)
+        assert type(r) is float
         assert r <= 1e-10
 
     def test_truncation_tail_shrinks(self, setup):
