@@ -262,7 +262,12 @@ def _parse_range(spec: str, what: str, minimum: float | None = None) -> np.ndarr
         raise ConfigError(f"cannot parse {what} range {spec!r}: {exc}") from exc
     if count < 1:
         raise ConfigError(f"{what} range is empty: {spec!r}")
-    values = np.array(numbers[:1]) if len(parts) == 1 else np.linspace(*numbers, count)
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{what} range must be finite, got {spec!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.array(numbers[:1]) if len(parts) == 1 else np.linspace(*numbers, count)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{what} range overflows: {spec!r}")
     if minimum is not None and values.min() <= minimum:
         raise ConfigError(f"{what} values must exceed {minimum}, got minimum {values.min()}")
     return values
@@ -538,6 +543,10 @@ def _cmd_kk_check(run: RunConfig, args: argparse.Namespace) -> list[Table]:
         raise ConfigError(f"cannot parse --probes {args.probes!r}: {exc}") from exc
     if not probes:
         raise ConfigError("--probes list is empty")
+    if not all(map(math.isfinite, probes)):
+        raise ConfigError(f"--probes must be finite, got {args.probes!r}")
+    if args.f_max is not None and not (math.isfinite(args.f_max) and args.f_max > 0.0):
+        raise ConfigError(f"--f-max must be finite and positive, got {args.f_max}")
     table = Table(
         name="kk_check",
         columns=["probe_freq", "lhs", "rhs", "residual"],

@@ -6,12 +6,17 @@ Provides the numerical core used by the conductivity closed forms:
   complex plane, with an explicit error contract,
 * Carlson symmetric integrals R_F and R_D for complex arguments via the
   duplication theorem (B. C. Carlson, Numer. Math. 33, 1 (1979); Numerical
-  Algorithms 10, 13 (1995)),
+  Algorithms 10, 13 (1995)); both also take float64 arrays of non-negative
+  arguments and return, element by element, the bits of the scalar call,
 * complete integrals K(k), E(k) in the modulus convention, plus an
   independent AGM evaluation of K used for cross-checking,
 * incomplete integrals in the convention of the conductivity derivation,
-  defined by quadrature of the literal integrands and accelerated by a
-  Carlson fast path that is validated against a cheap quadrature probe.
+  defined by quadrature of the literal integrands.  The default method
+  evaluates the Carlson forms instead and fixes their branch by a closed
+  rule: the first-kind form is right up to the sign
+  sgn Im(z^2) * sgn Im(k^2 z^2), and where no sign can be read (a real z^2
+  or k^2 z^2, which includes every end point on a cut) the literal
+  integrand is integrated by quadrature.
 
 All square roots are principal-branch and evaluated pointwise: `numpy.sqrt`
 on complex arrays in the integrands, `cmath.sqrt` on scalars in the Carlson
@@ -203,7 +208,91 @@ def endpoint_regularized(
 _CARLSON_MAX_ITER = 120
 
 
-def carlson_rf(x: complex, y: complex, z: complex, rtol: float = 1e-16) -> complex:
+def _real_arrays(fn: str, *args):
+    """The arguments as broadcast float64 arrays, if any of them is an ndarray.
+
+    Returns None when every argument is a scalar (the ``cmath`` path).  Array
+    arguments must be real, finite and non-negative: there the duplication
+    steps stay in real arithmetic and equal the real parts of the scalar path.
+    """
+    if not any(isinstance(t, np.ndarray) for t in args):
+        return None
+    arrays = [np.asarray(t) for t in args]
+    if any(a.dtype.kind not in "biuf" for a in arrays):
+        raise DomainError(f"{fn}: array arguments must be real")
+    arrays = [np.array(a, dtype=np.float64) for a in np.broadcast_arrays(*arrays)]
+    if not all(np.all(np.isfinite(a) & (a >= 0.0)) for a in arrays):
+        raise DomainError(f"{fn}: array arguments must be finite and non-negative")
+    return arrays
+
+
+def _rf_series(X, Y):
+    """Carlson's degree-7 R_F tail in the deviations X, Y (Z = -X - Y).
+
+    Serves complex scalars and float64 arrays alike.  Cubes are written as
+    products, e2 * (e2 * e2), which is how ``complex ** 3`` is computed, so
+    the array path rounds every step as the scalar path does.
+    """
+    Z = -X - Y
+    e2 = X * Y - Z * Z
+    e3 = X * Y * Z
+    return (
+        1.0
+        - e2 / 10.0
+        + e3 / 14.0
+        + e2 * e2 / 24.0
+        - 3.0 * e2 * e3 / 44.0
+        - 5.0 * (e2 * (e2 * e2)) / 208.0
+        + 3.0 * e3 * e3 / 104.0
+        + e2 * e2 * e3 / 16.0
+    )
+
+
+def _rd_series(X, Y):
+    """Carlson's R_D tail in the deviations X, Y (Z = -(X + Y)/3); as :func:`_rf_series`."""
+    Z = -(X + Y) / 3.0
+    e2 = X * Y - 6.0 * Z * Z
+    e3 = (3.0 * X * Y - 8.0 * Z * Z) * Z
+    e4 = 3.0 * (X * Y - Z * Z) * Z * Z
+    e5 = X * Y * (Z * (Z * Z))
+    return (
+        1.0
+        - 3.0 * e2 / 14.0
+        + e3 / 6.0
+        + 9.0 * e2 * e2 / 88.0
+        - 3.0 * e4 / 22.0
+        - 9.0 * e2 * e3 / 52.0
+        + 3.0 * e5 / 26.0
+    )
+
+
+def _duplicate_arrays(x, y, z, a, q, rd: bool):
+    """Masked duplication steps on float64 arrays.
+
+    Each element takes the steps its scalar twin would take: it stops once
+    ``q <= |A|``.  Returns the final (x, y, a) and, for R_D, the per-element
+    factor 4^-m and the accumulated sum.
+    """
+    fac = np.ones_like(a)
+    acc = np.zeros_like(a)
+    for _ in range(_CARLSON_MAX_ITER):
+        active = ~(q <= np.abs(a))
+        if not active.any():
+            break
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        if rd:
+            acc = np.where(active, acc + fac / (sz * (z + lam)), acc)
+            fac = np.where(active, fac * 0.25, fac)
+        x = np.where(active, 0.25 * (x + lam), x)
+        y = np.where(active, 0.25 * (y + lam), y)
+        z = np.where(active, 0.25 * (z + lam), z)
+        a = np.where(active, 0.25 * (a + lam), a)
+        q = np.where(active, q * 0.25, q)
+    return x, y, a, fac, acc
+
+
+def carlson_rf(x, y, z, rtol: float = 1e-16):
     """Carlson R_F(x, y, z) for complex arguments off (-inf, 0).
 
     Duplication-theorem iteration with the degree-7 series tail of Carlson
@@ -212,7 +301,22 @@ def carlson_rf(x: complex, y: complex, z: complex, rtol: float = 1e-16) -> compl
     of ``complex(x)``) is the upper half plane, -0.0 the lower, as for the
     principal ``cmath.sqrt``.
     At most one argument may vanish.
+
+    If any argument is an ndarray, all are broadcast to real float64 arrays,
+    which must be finite and non-negative, and a float64 array is returned;
+    each element equals the real part of the scalar call on it, bit for bit.
     """
+    arrays = _real_arrays("carlson_rf", x, y, z)
+    if arrays is not None:
+        x, y, z = arrays
+        if np.any((x == 0) & (y == 0) | (y == 0) & (z == 0) | (z == 0) & (x == 0)):
+            raise DomainError("carlson_rf: at least two arguments vanish")
+        a = (x + y + z) / 3.0
+        q = (3.0 * rtol) ** (-1.0 / 8.0) * np.maximum(
+            np.maximum(np.abs(a - x), np.abs(a - y)), np.abs(a - z)
+        )
+        x, y, a, _, _ = _duplicate_arrays(x, y, z, a, q, rd=False)
+        return _rf_series((a - x) / a, (a - y) / a) / np.sqrt(a)
     x, y, z = complex(x), complex(y), complex(z)
     if sum(1 for t in (x, y, z) if t == 0) >= 2:
         raise DomainError("carlson_rf: at least two arguments vanish")
@@ -231,30 +335,30 @@ def carlson_rf(x: complex, y: complex, z: complex, rtol: float = 1e-16) -> compl
         q *= 0.25
     # With A_m = (x_m + y_m + z_m)/3 preserved by the recurrence, Carlson's
     # normalized deviations (A0 - x0)/(4^m A_m) equal (A_m - x_m)/A_m.
-    X = (a - x) / a
-    Y = (a - y) / a
-    Z = -X - Y
-    e2 = X * Y - Z * Z
-    e3 = X * Y * Z
-    series = (
-        1.0
-        - e2 / 10.0
-        + e3 / 14.0
-        + e2 * e2 / 24.0
-        - 3.0 * e2 * e3 / 44.0
-        - 5.0 * e2 ** 3 / 208.0
-        + 3.0 * e3 * e3 / 104.0
-        + e2 * e2 * e3 / 16.0
-    )
-    return series / cmath.sqrt(a)
+    return _rf_series((a - x) / a, (a - y) / a) / cmath.sqrt(a)
 
 
-def carlson_rd(x: complex, y: complex, z: complex, rtol: float = 1e-16) -> complex:
+def carlson_rd(x, y, z, rtol: float = 1e-16):
     """Carlson R_D(x, y, z) = R_J(x, y, z, z) for complex arguments.
 
     Same duplication scheme as :func:`carlson_rf`; ``z`` must be nonzero and
-    at most one of ``x``, ``y`` may vanish.
+    at most one of ``x``, ``y`` may vanish.  Array arguments are handled as
+    in :func:`carlson_rf`.
     """
+    arrays = _real_arrays("carlson_rd", x, y, z)
+    if arrays is not None:
+        x, y, z = arrays
+        if np.any(z == 0):
+            raise DomainError("carlson_rd: third argument must be nonzero")
+        if np.any((x == 0) & (y == 0)):
+            raise DomainError("carlson_rd: x and y both vanish")
+        a = (x + y + 3.0 * z) / 5.0
+        q = (0.25 * rtol) ** (-1.0 / 8.0) * np.maximum(
+            np.maximum(np.abs(a - x), np.abs(a - y)), np.abs(a - z)
+        )
+        x, y, a, fac, acc = _duplicate_arrays(x, y, z, a, q, rd=True)
+        series = _rd_series((a - x) / a, (a - y) / a)
+        return fac * series / (a * np.sqrt(a)) + 3.0 * acc
     x, y, z = complex(x), complex(y), complex(z)
     if z == 0:
         raise DomainError("carlson_rd: third argument must be nonzero")
@@ -279,23 +383,7 @@ def carlson_rd(x: complex, y: complex, z: complex, rtol: float = 1e-16) -> compl
         q *= 0.25
     # For R_D the mean A_m = (x_m + y_m + 3 z_m)/5 is preserved as well, so
     # (A0 - x0)/(4^m A_m) = (A_m - x_m)/A_m exactly.
-    X = (a - x) / a
-    Y = (a - y) / a
-    Z = -(X + Y) / 3.0
-    e2 = X * Y - 6.0 * Z * Z
-    e3 = (3.0 * X * Y - 8.0 * Z * Z) * Z
-    e4 = 3.0 * (X * Y - Z * Z) * Z * Z
-    e5 = X * Y * Z ** 3
-    series = (
-        1.0
-        - 3.0 * e2 / 14.0
-        + e3 / 6.0
-        + 9.0 * e2 * e2 / 88.0
-        - 3.0 * e4 / 22.0
-        - 9.0 * e2 * e3 / 52.0
-        + 3.0 * e5 / 26.0
-    )
-    return fac * series / (a * cmath.sqrt(a)) + 3.0 * acc
+    return fac * _rd_series((a - x) / a, (a - y) / a) / (a * cmath.sqrt(a)) + 3.0 * acc
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +475,7 @@ def _branch_points(k: complex):
 def _segment_distance(p: complex, a: complex, b: complex) -> float:
     """Distance from point p to the closed segment [a, b]."""
     d = b - a
-    t = ((p - a) * d.conjugate()).real / abs(d) ** 2
+    t = ((p - a) * d.conjugate()).real / abs(d) / abs(d)  # |d|**2 underflows for tiny d
     t = min(1.0, max(0.0, t))
     return abs(p - (a + t * d))
 
@@ -457,24 +545,44 @@ def _incomplete_quadrature(
     return val
 
 
-def _probe_agrees(fast: complex, cheap: complex, scale: float) -> bool:
-    return abs(fast - cheap) <= 1e-3 * max(scale, abs(fast), abs(cheap))
+def _branch_sign(z: complex, k: complex) -> int:
+    """The sign s with F(z; k) = s * (-z R_F(1 - z^2, 1 - k^2 z^2, 1)), or 0.
 
+    On the path x = t z (0 < t <= 1) the principal roots satisfy
+    sqrt(x^2 - 1) = i sgn(Im x^2) sqrt(1 - x^2), and Im x^2 = t^2 Im z^2
+    keeps one sign along the whole path; likewise for k^2 x^2.  With k = 0
+    the second factor is the pinned +i.  So the literal first-kind integrand
+    is -s / (sqrt(1 - x^2) sqrt(1 - k^2 x^2)) with s = sgn Im z^2 *
+    sgn Im k^2 z^2, and the Carlson form of the principal integral holds
+    because each argument 1 - t^2 w runs on a straight segment from 1 and
+    so meets the cut (-inf, 0] only if its end point lies on it (Carlson,
+    Numer. Algorithms 10 (1995) 13; DLMF 19.25(i)).
 
-def _probe_checked(
-    fast: complex, integrand: Callable, z: complex, terminal_singular: bool
-) -> complex:
-    """The Carlson value if a cheap quadrature probe agrees, else full quadrature."""
-    cheap = _incomplete_quadrature(integrand, z, terminal_singular, 1e-4)
-    if _probe_agrees(fast, cheap, 1.0):
-        return fast
-    return _incomplete_quadrature(integrand, z, terminal_singular, 1e-12)
+    Returns 0 where no sign can be read (Im z^2 = 0, or Im k^2 z^2 = 0 with
+    k != 0).  That covers every end point on the cut, since an argument on
+    (-inf, 0] is real; the caller then integrates by quadrature.
+    """
+    zz = z * z
+    if zz.imag == 0.0:
+        return 0
+    s = 1 if zz.imag > 0.0 else -1
+    if k != 0:
+        kzz = k * k * zz
+        if kzz.imag == 0.0:
+            return 0
+        if kzz.imag < 0.0:
+            s = -s
+    return s
 
 
 def _incomplete_carlson(
     z: complex, k: complex, second_kind: bool
 ) -> Tuple[complex, complex | None]:
-    """Carlson fast paths (F, E) at (z, k) sharing one R_F; E only if asked."""
+    """Carlson forms (F, E) at (z, k) sharing one R_F; E only if asked.
+
+    F is -z R_F(1 - z^2, 1 - k^2 z^2, 1), which equals the literal integral
+    only up to the sign of :func:`_branch_sign`; E equals it as it stands.
+    """
     zz = z * z
     args = (1.0 - zz, 1.0 - k * k * zz, 1.0)
     rf = carlson_rf(*args)
@@ -491,27 +599,30 @@ def _incomplete(z: complex, k: complex, method: str, second_kind: bool) -> compl
     if z == 0:
         return 0.0 + 0.0j
     terminal = _guard_path(z, k) is not None
-    integrand = (_defining_e_integrand if second_kind else _defining_f_integrand)(k)
-    if method == "quadrature":
-        return _incomplete_quadrature(integrand, z, terminal, 1e-12)
-    f_fast, e_fast = _incomplete_carlson(z, k, second_kind)
-    fast = e_fast if second_kind else f_fast
-    if method == "carlson":
-        return fast
-    if method != "auto":
+    if method not in ("auto", "carlson", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
-    return _probe_checked(fast, integrand, z, terminal)
+    s = _branch_sign(z, k) if method == "auto" else 1
+    if method == "quadrature" or s == 0:
+        integrand = (_defining_e_integrand if second_kind else _defining_f_integrand)(k)
+        return _incomplete_quadrature(integrand, z, terminal, 1e-12)
+    f, e = _incomplete_carlson(z, k, second_kind)
+    if second_kind:
+        return e
+    return f if s > 0 else -f
 
 
 def ellip_incomplete_f(z: complex, k: complex, method: str = "auto") -> complex:
     """Incomplete first-kind integral int_0^z dx / (sqrt(x^2-1) sqrt(k^2 x^2 - 1)).
 
-    The defining evaluation is adaptive quadrature of the literal integrand
-    with pointwise principal square roots along the straight path 0 -> z.
-    ``method="carlson"`` uses -z*R_F(1-z^2, 1-k^2 z^2, 1), which equals the
-    quadrature value up to a branch-dependent constant; ``"auto"`` (default)
-    validates the Carlson value against a cheap low-tolerance quadrature
-    probe and falls back to full quadrature on disagreement.
+    The defining evaluation (``method="quadrature"``) is adaptive quadrature
+    of the literal integrand with pointwise principal square roots along the
+    straight path 0 -> z.  ``method="carlson"`` returns the Carlson form
+    -z*R_F(1-z^2, 1-k^2 z^2, 1), which equals the defining value up to the
+    sign sgn Im(z^2) * sgn Im(k^2 z^2) (the second factor +1 when k = 0).
+    ``"auto"`` (default) returns the Carlson form times that sign, and
+    integrates by quadrature where no sign can be read: Im(z^2) = 0, or
+    Im(k^2 z^2) = 0 with k != 0, which includes every path that ends on a
+    cut of the Carlson arguments.
 
     Raises :class:`BranchPointOnPath` if the open path hits +-1 or +-1/k;
     a terminal point *at* a branch point is admissible (integrable).
@@ -522,24 +633,28 @@ def ellip_incomplete_f(z: complex, k: complex, method: str = "auto") -> complex:
 def ellip_incomplete_e(z: complex, k: complex, method: str = "auto") -> complex:
     """Incomplete second-kind integral int_0^z sqrt(1-k^2 x^2)/sqrt(1-x^2) dx.
 
-    Same evaluation strategy and error contract as :func:`ellip_incomplete_f`;
-    the Carlson fast path is z*R_F - (k^2 z^3/3)*R_D on the shifted arguments.
+    Same methods and error contract as :func:`ellip_incomplete_f`.  The
+    Carlson form z*R_F - (k^2 z^3/3)*R_D on the same arguments needs no
+    sign; ``"auto"`` uses it wherever the first-kind rule reads a sign and
+    quadrature elsewhere.
     """
     return _incomplete(z, k, method, second_kind=True)
 
 
 def _incomplete_fe(z: complex, k: complex) -> Tuple[complex, complex]:
-    """(F, E) at (z, k) with one shared R_F; equal to the two public functions.
+    """(F, E) at (z, k) with one shared R_F.
 
-    ``method="auto"`` semantics: each value keeps its own quadrature probe
-    and full-quadrature fallback.
+    Equal to the two public functions with ``method="auto"``.
     """
     z, k = complex(z), complex(k)
     if z == 0:
         return 0.0 + 0.0j, 0.0 + 0.0j
     terminal = _guard_path(z, k) is not None
-    f_fast, e_fast = _incomplete_carlson(z, k, second_kind=True)
-    return (
-        _probe_checked(f_fast, _defining_f_integrand(k), z, terminal),
-        _probe_checked(e_fast, _defining_e_integrand(k), z, terminal),
-    )
+    s = _branch_sign(z, k)
+    if s == 0:
+        return (
+            _incomplete_quadrature(_defining_f_integrand(k), z, terminal, 1e-12),
+            _incomplete_quadrature(_defining_e_integrand(k), z, terminal, 1e-12),
+        )
+    f, e = _incomplete_carlson(z, k, second_kind=True)
+    return (f if s > 0 else -f), e

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BranchCut, DomainError, GridTooCoarse
-from .mattis_bardeen import ComplexFreq, sigma_real_axis, sigma_tilde
+from .mattis_bardeen import ComplexFreq, _sigma_real_axis_grid, sigma_real_axis, sigma_tilde
 
 _TWO_PI_GHZ = 2.0 * math.pi * 1e9  # rad/s per GHz
 
@@ -201,13 +201,19 @@ def epsilon(
 
 
 def _real_part_on_grid(material: Material, nu_grid: np.ndarray) -> np.ndarray:
-    """Re Z_s / A on a real reduced-frequency grid (vectorised point loop)."""
+    """Re Z_s / A on a real reduced-frequency grid; zero at and below the gap.
+
+    The conductivity comes from one array evaluation over the above-gap
+    points.  The fractional power stays a per-point scalar power: the array
+    ufuncs (complex power, ``hypot``, ``arctan2``) differ from the scalar
+    ones in the last bit at some points, which would move the KK sums.
+    """
     out = np.zeros_like(nu_grid)
     q = material.limit_regime.power
-    for i, nu in enumerate(nu_grid):
-        if nu <= 2.0:
-            continue
-        arg = 1j * nu * sigma_real_axis(float(nu))
+    above = np.flatnonzero(nu_grid > 2.0)
+    sig1, sig2 = _sigma_real_axis_grid(nu_grid[above])
+    for i, nu, s1, s2 in zip(above, nu_grid[above], sig1.tolist(), sig2.tolist()):
+        arg = 1j * nu * complex(s1, -s2)
         out[i] = (1j * nu * arg ** (-1.0 / q)).real
     return out
 

@@ -70,6 +70,9 @@ class QubitParams:
     dipole_prefactor: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("omega_q", "x_q", "dipole_prefactor"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.omega_q <= 0.0:
             raise DomainError(f"omega_q must be positive, got {self.omega_q}")
         if self.x_q < 0.0:

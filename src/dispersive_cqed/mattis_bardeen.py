@@ -301,12 +301,49 @@ def sigma_real_axis(nu: float) -> complex:
         raise DomainError(f"nu must be positive and finite, got {nu}")
     if nu == 2.0:
         return complex(0.0, -1.0)
-    k0 = (nu - 2.0) / (nu + 2.0)
-    p = k0 * k0
-    kp, ep = _complete_pair(p, 1.0 - p)
-    sig2 = 0.5 * ((1.0 + 2.0 / nu) * ep.real - (1.0 - 2.0 / nu) * kp.real)
+    p = _parameter(nu)
+    sig2 = _sigma2(nu, p)
     if nu < 2.0:
         return complex(0.0, -sig2)
-    K, E = _complete_ke(k0)
-    sig1 = (1.0 + 2.0 / nu) * E.real - (4.0 / nu) * K.real
-    return complex(sig1, -sig2)
+    return complex(_sigma1(nu, p), -sig2)
+
+
+# The real-axis formulas, written once for a float ``nu`` (the ``cmath``
+# Carlson path, whose values are real) and for float64 arrays (the array
+# Carlson path, whose elements equal those real parts bit for bit).
+
+
+def _parameter(nu):
+    """p = k0^2 with k0 = (nu - 2)/(nu + 2)."""
+    k0 = (nu - 2.0) / (nu + 2.0)
+    return k0 * k0
+
+
+def _sigma2(nu, p):
+    """Reactive part off the gap edge, from K(k0') and E(k0') at parameter p."""
+    kp, ep = _complete_pair(p, 1.0 - p)
+    return 0.5 * ((1.0 + 2.0 / nu) * ep.real - (1.0 - 2.0 / nu) * kp.real)
+
+
+def _sigma1(nu, p):
+    """Dissipative part above the gap, from K(k0) and E(k0)."""
+    K, E = _complete_pair(1.0 - p, p)
+    return (1.0 + 2.0 / nu) * E.real - (4.0 / nu) * K.real
+
+
+def _sigma_real_axis_grid(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma1, sigma2) of :func:`sigma_real_axis` on an array of positive ``nu``.
+
+    Each element equals the scalar call's (real part, -imaginary part) bit
+    for bit; the Carlson kernels run once per array instead of per point.
+    """
+    nu = np.asarray(nu, dtype=np.float64)
+    if not np.all(np.isfinite(nu) & (nu > 0.0)):
+        raise DomainError("nu must be positive and finite")
+    sig1 = np.zeros_like(nu)
+    sig2 = np.ones_like(nu)  # the exact limit at nu == 2
+    off = nu != 2.0
+    above = nu > 2.0
+    sig2[off] = _sigma2(nu[off], _parameter(nu[off]))
+    sig1[above] = _sigma1(nu[above], _parameter(nu[above]))
+    return sig1, sig2

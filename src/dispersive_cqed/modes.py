@@ -314,10 +314,27 @@ def mode_function(mode: Mode, geometry: ResonatorGeometry, x) -> np.ndarray | fl
 
 @dataclass(frozen=True)
 class FixedPointOptions:
+    """Settings of :func:`fixed_point_eigenfrequency`, checked on construction.
+
+    tol: relative residual to reach (finite, > 0); max_iter: iteration budget
+    (>= 1); relaxation: Picard under-relaxation weight in (0, 1];
+    epsilon_gap: relative offset of the gap-edge restart seed, in (0, 1).
+    """
+
     tol: float = 1e-10
     max_iter: int = 200
     relaxation: float = 0.5
     epsilon_gap: float = 1e-3
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise DomainError(f"tol must be finite and positive, got {self.tol}")
+        if not self.max_iter >= 1:
+            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not 0.0 < self.relaxation <= 1.0:
+            raise DomainError(f"relaxation must lie in (0, 1], got {self.relaxation}")
+        if not 0.0 < self.epsilon_gap < 1.0:
+            raise DomainError(f"epsilon_gap must lie in (0, 1), got {self.epsilon_gap}")
 
 
 def _omega_n_sq(k, omega, z_s, geometry: ResonatorGeometry):

@@ -161,6 +161,47 @@ class TestConfigErrors:
         self.check(tmp_path, capsys, cfg, ["kk-check", "--probes", ","], "empty")
 
 
+    @pytest.mark.parametrize("tail", [
+        ["conductivity", "--nu", "nan"],
+        ["conductivity", "--nu", "1:inf:3"],
+        ["conductivity", "--nu=-inf:3:3"],
+        ["conductivity", "--nu", "3", "--kappa", "nan"],
+        ["conductivity", "--nu", "3", "--kappa", "0:inf:2"],
+        ["conductivity", "--nu=-1e308:1e308:3"],
+        ["impedance", "--freq", "inf"],
+        ["impedance", "--freq", "1:nan:4"],
+        ["spectral-density", "--freq", "100:inf:2"],
+        ["kk-check", "--probes", "4.0,nan"],
+        ["kk-check", "--probes", "inf"],
+        ["kk-check", "--probes", "4.0", "--f-max", "nan"],
+        ["kk-check", "--probes", "4.0", "--f-max", "inf"],
+        ["kk-check", "--probes", "4.0", "--f-max", "0"],
+        ["kk-check", "--probes", "4.0", "--f-max", "-4350"],
+    ])
+    def test_nonfinite_numbers_rejected(self, tmp_path, capsys, tail):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            self.check(tmp_path, capsys, base_config(n_max=4), tail)
+
+    @pytest.mark.parametrize("field", ["omega_q", "x_q", "dipole_prefactor"])
+    @pytest.mark.parametrize("command", [
+        ["lamb-shift"], ["modes"], ["spectral-density", "--freq", "100"],
+    ])
+    def test_nonfinite_qubit_parameters_rejected(self, tmp_path, capsys, field, command):
+        cfg = base_config(n_max=4)
+        cfg["qubit"][field] = float("nan")
+        self.check(tmp_path, capsys, cfg, command, field)
+
+    @pytest.mark.parametrize("key, value", [
+        ("tol", 0.0), ("tol", float("nan")), ("max_iter", 0), ("relaxation", 0.0),
+        ("epsilon_gap", -1e-3), ("epsilon_gap", float("nan")),
+    ])
+    def test_solver_options_out_of_range(self, tmp_path, capsys, key, value):
+        cfg = base_config(n_max=4)
+        cfg["solver"][key] = value
+        self.check(tmp_path, capsys, cfg, ["modes"], key)
+
+
 class TestConductivity:
     def test_real_axis_rows_match_closed_form(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())

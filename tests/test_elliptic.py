@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dispersive_cqed.elliptic import (
@@ -243,6 +243,14 @@ class TestIncomplete:
             assert ellip_incomplete_f(0.0, k) == 0.0
             assert ellip_incomplete_e(0.0, k) == 0.0
 
+    def test_tiny_amplitude(self):
+        # |z|^2 underflows to zero; the path guard must still measure the
+        # path, and both integrals reduce to their small-z limits -z and z.
+        for z in (2.2250738585072014e-308j, 1e-200 + 1e-200j):
+            for k in (0.0, 0.5, 0.3 - 0.2j):
+                assert ellip_incomplete_f(z, k) == pytest.approx(-z, rel=1e-12)
+                assert ellip_incomplete_e(z, k) == pytest.approx(z, rel=1e-12)
+
     def test_degenerate_modulus_first_kind(self):
         # k=0: the literal integrand keeps the sqrt(k^2 x^2 - 1) -> sqrt(-1)
         # = +i factor, and sqrt(x^2-1) = +-i sqrt(1-x^2) with the sign set by
@@ -360,3 +368,158 @@ class TestIncomplete:
             assert ellip_complete_e(k.conjugate()) == pytest.approx(
                 ellip_complete_e(k).conjugate(), rel=1e-12
             )
+
+
+class TestCarlsonArrays:
+    """Float64 arrays take masked duplication steps; each element is the scalar call."""
+
+    # zeros, tiny and huge arguments, equal arguments (no step taken) and the
+    # (0, p, 1) / (0, 1 - p, 1) pairs of the real-axis conductivity
+    P = np.array([1e-300, 1e-26, 1e-12, 0.3, 0.5, 0.999999, 1.0 - 1e-16])
+    CASES = [
+        (np.zeros(7), P, np.ones(7)),
+        (np.zeros(7), 1.0 - P, np.ones(7)),
+        (np.array([1.0, 4.0, 2.5]), np.array([1.0, 4.0, 2.5]), np.array([1.0, 4.0, 2.5])),
+        (np.array([1e-20, 3.0, 1e12, 0.0]), np.array([2.0, 1e-8, 1.0, 7.0]), 0.25),
+    ]
+
+    @pytest.mark.parametrize("fn", [carlson_rf, carlson_rd])
+    @pytest.mark.parametrize("x, y, z", CASES)
+    def test_elementwise_equal_to_scalar(self, fn, x, y, z):
+        got = fn(x, y, z)
+        x, y, z = np.broadcast_arrays(x, y, z)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        for i in range(x.size):
+            want = fn(float(x[i]), float(y[i]), float(z[i]))
+            assert want.imag == 0.0
+            assert got[i] == want.real
+
+    @given(st.lists(st.tuples(*[st.floats(0.0, 1e6)] * 3), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_random_arrays_equal_scalar(self, triples):
+        x, y, z = (np.array(c) for c in zip(*triples))
+        for fn in (carlson_rf, carlson_rd):
+            try:
+                got = fn(x, y, z)
+            except DomainError:
+                # some element has too many vanishing arguments; so does its scalar call
+                with pytest.raises(DomainError):
+                    for t in triples:
+                        fn(*t)
+                continue
+            assert list(got) == [fn(*t).real for t in triples]
+
+    @pytest.mark.parametrize("fn", [carlson_rf, carlson_rd])
+    def test_complex_or_negative_arrays_rejected(self, fn):
+        ones = np.ones(3)
+        for bad in (ones + 0j, np.array([1.0, -0.5, 2.0]), np.array([1.0, np.nan, 2.0]),
+                    np.array([1.0, np.inf, 2.0])):
+            with pytest.raises(DomainError):
+                fn(bad, ones, ones)
+            with pytest.raises(DomainError):
+                fn(0.0, bad, 1.0)
+
+    def test_vanishing_arguments_rejected_per_element(self):
+        with pytest.raises(DomainError):
+            carlson_rf(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1.0)
+        with pytest.raises(DomainError):
+            carlson_rd(np.array([0.5, 1.0]), 1.0, np.array([1.0, 0.0]))
+        with pytest.raises(DomainError):
+            carlson_rd(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1.0)
+
+
+# Components for the branch-rule property: generic values, signed zeros, and
+# offsets of 1e-12 that put Im z^2 or Im k^2 z^2 just off zero, i.e. the end
+# points 1 - z^2 and 1 - k^2 z^2 within about 1e-12 of the real axis.
+_COMPONENT = st.one_of(
+    st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 0.5, -0.5, 1.0, -1.0, 1.0 + 1e-12]),
+)
+_COMPLEX = st.builds(complex, _COMPONENT, _COMPONENT)
+
+
+class TestBranchRule:
+    """``method="auto"`` against the quadrature oracle, and what it does not do."""
+
+    @given(_COMPLEX, _COMPLEX)
+    @settings(max_examples=150, deadline=None)
+    def test_auto_equals_quadrature(self, z, k):
+        # Near k^2 = 1 the branch points 1 and 1/k coalesce; a path ending
+        # there has a non-integrable end point and no oracle value.
+        assume(abs(k * k - 1.0) > 1e-6)
+        # An end point within the path guard's tolerance of a branch point,
+        # but not on it, is integrated by the oracle up to the branch point
+        # itself, which is accurate only to about the root of the distance.
+        branch_points = [1.0, -1.0] + ([1.0 / k, -1.0 / k] if k != 0 else [])
+        assume(all(z == b or abs(z - b) > 1e-9 * max(1.0, abs(z)) for b in branch_points))
+        for fn in (ellip_incomplete_f, ellip_incomplete_e):
+            slack = 0.0
+            try:
+                want = fn(z, k, method="quadrature")
+            except BranchPointOnPath:
+                with pytest.raises(BranchPointOnPath):
+                    fn(z, k)
+                continue
+            except NonConvergence as exc:
+                # an end point within 1e-12 of a branch point, or an integrand
+                # whose sign flips with the rounding of a zero Im x^2: the
+                # oracle's best estimate, to its own error bound
+                want, slack = exc.best_estimate, 10.0 * exc.error_estimate
+            except SingularInterior:
+                continue  # a node landed on the singularity: no oracle value
+            try:
+                got = fn(z, k)
+            except NonConvergence:
+                assert slack > 0.0  # the same quadrature, where the rule cannot decide
+                continue
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)) + slack
+
+    @pytest.mark.parametrize("z, k", [
+        (0.3 + 1e-12j, 0.5), (0.3 - 1e-12j, 0.5), (0.6 + 0.2j, 0.5 - 1e-12j),
+        (0.6 + 0.2j, 0.5 + 1e-12j), (1e-12 + 0.7j, 0.4), (-1e-12 + 0.7j, 0.4),
+        (0.4 + 0.3j, 0.0), (0.4 - 0.3j, 0.0), (0.4 - 0.3j, -0.0j),
+    ])
+    def test_sign_flips_match_quadrature(self, z, k):
+        # Both signs occur next to the lines where Im z^2 or Im k^2 z^2 vanishes.
+        for fn in (ellip_incomplete_f, ellip_incomplete_e):
+            want = fn(z, k, method="quadrature")
+            assert abs(fn(z, k) - want) <= 1e-9 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("z, k", [
+        (0.5, 0.3), (complex(0.5, -0.0), 0.3), (0.5j, 0.3), (0.3 + 0.3j, 1.0 - 1.0j),
+        (1.0, 0.5),
+    ])
+    def test_unreadable_sign_falls_back_to_quadrature(self, z, k):
+        # Im z^2 = 0, or Im k^2 z^2 = 0 with k != 0 (here k^2 z^2 = 0.36):
+        # the outcome is the oracle's, bit for bit.  At (0.3+0.3j, 1-1j) the
+        # first-kind integrand's sign follows the rounding of Im k^2 x^2 = 0
+        # from node to node, and both raise NonConvergence.
+        def outcome(fn, *args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except DispersiveCqedError as exc:
+                return type(exc)
+
+        for fn in (ellip_incomplete_f, ellip_incomplete_e):
+            assert outcome(fn, z, k) == outcome(fn, z, k, method="quadrature")
+        assert outcome(_incomplete_fe, z, k) == outcome(
+            lambda: (ellip_incomplete_f(z, k), ellip_incomplete_e(z, k))
+        )
+
+    def test_sigma_tilde_makes_no_quadrature_call(self, monkeypatch):
+        # Above the gap at kappa > 0 every incomplete integral is decided by
+        # the rule; no contour quadrature runs (no probe, no fallback).
+        import dispersive_cqed.elliptic as elliptic_module
+        from dispersive_cqed.mattis_bardeen import ComplexFreq, sigma_tilde
+
+        calls = []
+        original = elliptic_module.contour_quadrature
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(elliptic_module, "contour_quadrature", counted)
+        for nu, kap in ((2.5, 0.01), (4.0, 0.3), (10.0, 1e-6), (2.0001, 0.5)):
+            assert math.isfinite(abs(sigma_tilde(ComplexFreq(nu, kap))))
+        assert calls == []

@@ -58,6 +58,12 @@ class TestQubitParams:
         with pytest.raises(DomainError):
             QubitParams(5.0, -0.001)
 
+    @pytest.mark.parametrize("field", ["omega_q", "x_q", "dipole_prefactor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, field, value):
+        with pytest.raises(DomainError):
+            QubitParams(**{"omega_q": 5.0, "x_q": 0.0, field: value})
+
     def test_position_beyond_line(self):
         geo = make_geometry()
         qb = QubitParams(5.0, 2 * geo.length)

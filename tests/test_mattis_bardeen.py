@@ -12,6 +12,7 @@ from dispersive_cqed.errors import DomainError, GapSingularity
 from dispersive_cqed.mattis_bardeen import (
     ComplexFreq,
     _sigma2_continued,
+    _sigma_real_axis_grid,
     moduli,
     sigma_oracle,
     sigma_real_axis,
@@ -137,6 +138,25 @@ class TestRealAxis:
             sigma_real_axis(-2.0)
         with pytest.raises(DomainError):
             sigma_real_axis(float("nan"))
+
+    def test_grid_equals_scalar_bit_for_bit(self):
+        # One array evaluation against per-point calls, across the gap: the
+        # edge itself, one ulp-scale step to either side, and both far ends.
+        nu = np.concatenate([
+            [2.0, 2.0 + 1e-12, 2.0 - 1e-12, np.nextafter(2.0, 3.0), np.nextafter(2.0, 1.0),
+             1e-4, 1e4],
+            np.linspace(0.01, 6.0, 601),
+            np.geomspace(2.001, 1e3, 200),
+        ])
+        sig1, sig2 = _sigma_real_axis_grid(nu)
+        for v, s1, s2 in zip(nu, sig1, sig2):
+            want = sigma_real_axis(float(v))
+            assert (s1, s2) == (want.real, -want.imag)
+
+    def test_grid_domain(self):
+        for bad in ([1.0, 0.0], [3.0, -1.0], [3.0, np.nan], [np.inf]):
+            with pytest.raises(DomainError):
+                _sigma_real_axis_grid(np.array(bad))
 
 
 class TestOracle:

@@ -239,6 +239,20 @@ class TestSimpson:
 
 
 class TestFixedPoint:
+    @pytest.mark.parametrize("field, value", [
+        ("tol", 0.0), ("tol", -1e-10), ("tol", math.nan), ("tol", math.inf),
+        ("max_iter", 0), ("max_iter", -3),
+        ("relaxation", 0.0), ("relaxation", -0.5), ("relaxation", 1.5), ("relaxation", math.nan),
+        ("epsilon_gap", 0.0), ("epsilon_gap", -1e-3), ("epsilon_gap", 1.0),
+        ("epsilon_gap", math.nan), ("epsilon_gap", math.inf),
+    ])
+    def test_options_validated_on_construction(self, field, value):
+        with pytest.raises(DomainError):
+            FixedPointOptions(**{field: value})
+
+    def test_options_accept_their_range_ends(self):
+        FixedPointOptions(tol=1e-300, max_iter=1, relaxation=1.0, epsilon_gap=0.999)
+
     def test_lossless_is_exact_bare_frequency(self):
         geo = make_geometry()
         k1 = secular_roots(geo, 1)[0]
