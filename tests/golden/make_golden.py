@@ -6,6 +6,17 @@ experiment script at a small mode count, and writes its files into a
 directory of its own.  ``tests/test_golden.py`` reruns each case and compares
 the files byte for byte, together with the exit code in ``exit_codes.json``.
 
+The CLI tables print 12 digits and cannot see a last-bit move, so two files
+pin values to the bit, as ``float.hex``:
+
+* ``reports.json``: ``lamb_shift_report`` per-mode terms, comparator terms
+  and totals on four devices (``REPORT_CASES``), each at two qubit
+  frequencies; a memo miss and a memo hit must both reproduce them.
+* ``carlson_pairs.json``: R_F and R_D on argument triples that cover the
+  complete integrals with a vanishing complement, the ``sigma_tilde``
+  arguments of every bundled config, signed zeros on the negative axis and
+  a vanishing argument.
+
 Regenerate only for an intended change of a printed number, and record in
 CHANGES.md which digits moved and why:
 
@@ -19,9 +30,18 @@ import runpy
 import shutil
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
-from dispersive_cqed.cli import bundled_geometry_configs, main
+import numpy as np
+
+from dispersive_cqed import lightmatter
+from dispersive_cqed.cli import bundled_geometry_configs, load_run_config, main
+from dispersive_cqed.elliptic import carlson_rd, carlson_rf
+from dispersive_cqed.impedance import _split_frequency, calibrate_prefactor, niobium
+from dispersive_cqed.lightmatter import QubitParams, lamb_shift_report
+from dispersive_cqed.mattis_bardeen import moduli
+from dispersive_cqed.modes import QubitLoad, secular_roots
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 SCRIPTS_DIR = GOLDEN_DIR.parents[1] / "scripts"
@@ -91,7 +111,142 @@ def run_case(case_id: str, out_dir: Path) -> int:
         return entry(argv)
 
 
+# ---------------------------------------------------------------------------
+# Full-precision Lamb-shift reports
+
+REPORT_FILE = GOLDEN_DIR / "reports.json"
+REPORT_OMEGAS_GHZ = (4.3, 5.2)
+
+
+def _report_cases() -> dict:
+    """Case id -> (material, geometry, n_max, options, x_q, dipole_prefactor)."""
+    runs = {path.stem: load_run_config(path) for path in bundled_geometry_configs()}
+    cases = {}
+    for stem in ("gap_00p6um", "gap_20p0um"):
+        run = runs[stem]
+        cases[stem] = (run.material, run.geometry, 30, run.solver, 0.0, 1.0)
+    # The niobium line of the benchmark's qubit-frequency scan: every mode
+    # below the 725 GHz gap, prefactor calibrated to a 2 % red-shift.
+    base = runs["gap_00p6um"]
+    nb_geometry = replace(base.geometry, g_geom=3.0e6)
+    f_bare = nb_geometry.bare_frequency_ghz(secular_roots(nb_geometry, 1)[0])
+    nb = calibrate_prefactor(niobium(), nb_geometry.g_geom, nb_geometry.ell_m, f_bare, 0.02)
+    cases["niobium"] = (nb, nb_geometry, 50, base.solver, 0.0, 1.0)
+    length = base.geometry.length
+    three = replace(base.geometry, qubits=(
+        QubitLoad(0.0, 1.0e-14), QubitLoad(0.37 * length, 2.0e-14),
+        QubitLoad(0.81 * length, 5.0e-15),
+    ))
+    cases["three_load"] = (base.material, three, 30, base.solver, 0.37 * length, 1.3)
+    return cases
+
+
+REPORT_CASES = _report_cases()
+
+
+def _hex_complex(value: complex) -> list[str]:
+    return [float(value.real).hex(), float(value.imag).hex()]
+
+
+def report_record(case_id: str, omega_q: float) -> dict:
+    """``float.hex`` of one report's terms, comparator terms and totals."""
+    material, geometry, n_max, options, x_q, dipole = REPORT_CASES[case_id]
+    qubit = QubitParams(omega_q, x_q, dipole_prefactor=dipole)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = lamb_shift_report(qubit, material, geometry, n_max, options)
+    totals = report.totals
+    return {
+        "per_mode_terms": [_hex_complex(t) for t in report.per_mode_terms],
+        "comparator_terms": [float(t).hex() for t in report.comparator_terms],
+        "totals": [float(t).hex() for t in
+                   (totals.dispersion, totals.below_bandgap, totals.no_dispersion)],
+    }
+
+
+def report_key(case_id: str, omega_q: float) -> str:
+    return f"{case_id}@{omega_q!r}"
+
+
+def _generate_reports() -> None:
+    records = {}
+    for case_id in REPORT_CASES:
+        for omega_q in REPORT_OMEGAS_GHZ:
+            lightmatter._spectra.clear()
+            miss = report_record(case_id, omega_q)
+            hit = report_record(case_id, omega_q)
+            assert miss == hit, case_id
+            records[report_key(case_id, omega_q)] = miss
+    REPORT_FILE.write_text(json.dumps(records, indent=1) + "\n", newline="\n")
+
+
+# ---------------------------------------------------------------------------
+# Carlson (R_F, R_D) pairs
+
+CARLSON_FILE = GOLDEN_DIR / "carlson_pairs.json"
+
+
+def _sigma_tilde_triples(freq) -> list[tuple]:
+    """The three Carlson argument triples of ``sigma_tilde`` at ``freq``.
+
+    K and E at k and at k', then the incomplete F and E at (z2, k'), with
+    the arguments formed as ``sigma_tilde`` forms them.
+    """
+    m = moduli(freq)
+    k1k = m.k1 * m.k
+    z2 = complex(np.sqrt(1.0 - k1k * k1k) / m.k_prime)
+    zz = z2 * z2
+    kp = m.k_prime
+    return [
+        (0.0, 1.0 - m.k * m.k, 1.0),
+        (0.0, 1.0 - kp * kp, 1.0),
+        (1.0 - zz, 1.0 - kp * kp * zz, 1.0),
+    ]
+
+
+def carlson_triples() -> list[tuple]:
+    """About forty (x, y, z) triples; the real non-negative ones also run as arrays."""
+    triples = [(0.0, kc2, 1.0) for kc2 in (1e-300, 1e-100, 1e-30, 1e-16, 1e-8, 0.25, 1.0)]
+    triples.append((0.0, complex(1e-20, 1e-20), 1.0))
+    # signed zeros on the negative real axis, and one vanishing argument
+    triples += [
+        (complex(-1.0, 0.0), 1.0, 2.0),
+        (0.0, complex(-1.0, 0.0), 1.0),
+        (0.0, complex(-1.0, -0.0), 1.0),
+        (complex(-0.25, -0.0), 2.0, 1.0),
+        (complex(-3.0, 0.0), 1.0, 2.0),
+        (complex(0.3, 0.4), 0.0, 2.0),
+    ]
+    triples += [(0.5, 2.0, 3.0), (1e-20, 3.0, 1e12), (4.0, 4.0, 4.0), (7.0, 1e-8, 0.25)]
+    # sigma_tilde at the first above-gap pole of every bundled config, and at
+    # the last (mode 30) of the thinnest and the widest gap
+    for path in bundled_geometry_configs():
+        run = load_run_config(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = lamb_shift_report(QubitParams(5.0, 0.0), run.material, run.geometry, 30,
+                                       run.solver)
+        above = [i for i, flag in enumerate(report.below_gap) if not flag]
+        picks = [above[0]] + ([29] if path.stem in ("gap_00p6um", "gap_20p0um") else [])
+        for i in picks:
+            pole = report.modes[i].omega_n
+            triples += _sigma_tilde_triples(
+                _split_frequency(run.material, complex(pole.nu, pole.kappa)))
+    return [tuple(complex(t) for t in triple) for triple in triples]
+
+
+def _generate_carlson() -> None:
+    rows = [
+        {"args": [_hex_complex(t) for t in triple],
+         "rf": _hex_complex(carlson_rf(*triple)), "rd": _hex_complex(carlson_rd(*triple))}
+        for triple in carlson_triples()
+    ]
+    CARLSON_FILE.write_text(json.dumps(rows, indent=1) + "\n", newline="\n")
+
+
 def generate() -> None:
+    _generate_reports()
+    _generate_carlson()
     exit_codes = {}
     for case_id in CASES:
         out_dir = GOLDEN_DIR / case_id

@@ -1,6 +1,8 @@
 """Elliptic-integral backend: quadrature oracle, Carlson forms, identities."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +147,41 @@ class TestCarlson:
         assert carlson_rf(t * x, t * y, t * z) == pytest.approx(
             carlson_rf(x, y, z) / math.sqrt(t), rel=1e-12
         )
+
+
+def _from_hex(pair) -> complex:
+    return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
+
+
+class TestFrozenPairs:
+    """R_F and R_D to the bit on triples frozen in tests/golden/carlson_pairs.json.
+
+    The triples cover (0, kc2, 1) with kc2 -> 0, the sigma_tilde arguments of
+    every bundled config, signed zeros on the negative axis and a vanishing
+    argument (generator: tests/golden/make_golden.py).
+    """
+
+    ROWS = json.loads((Path(__file__).parent / "golden" / "carlson_pairs.json").read_text())
+
+    def test_scalar_calls(self):
+        assert len(self.ROWS) >= 40
+        for row in self.ROWS:
+            args = [_from_hex(a) for a in row["args"]]
+            for fn, key in ((carlson_rf, "rf"), (carlson_rd, "rd")):
+                got = fn(*args)
+                assert got == _from_hex(row[key]), (fn.__name__, args)
+                assert [got.real.hex(), got.imag.hex()] == row[key], (fn.__name__, args)
+
+    def test_real_subset_as_arrays(self):
+        real = [row for row in self.ROWS
+                if all(_from_hex(a).imag == 0.0 and _from_hex(a).real >= 0.0 for a in row["args"])]
+        assert len(real) >= 10
+        x, y, z = (np.array([_from_hex(row["args"][j]).real for row in real]) for j in range(3))
+        for fn, key in ((carlson_rf, "rf"), (carlson_rd, "rd")):
+            got = fn(x, y, z)
+            want = [_from_hex(row[key]) for row in real]
+            assert all(w.imag == 0.0 for w in want)
+            assert list(got) == [w.real for w in want], fn.__name__
 
 
 class TestComplete:

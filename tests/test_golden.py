@@ -3,14 +3,19 @@
 The cases and the generator live in ``tests/golden/make_golden.py``.  A
 refactor must leave every file identical; an intended change of a printed
 number regenerates the files and records the moved digits in CHANGES.md.
+The in-process Lamb-shift reports are compared to the bit, on a memo miss
+and on a memo hit.
 """
 
 import difflib
 import importlib.util
 import json
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
+
+from dispersive_cqed import lightmatter
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -19,6 +24,7 @@ make_golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_golden)
 
 EXIT_CODES = json.loads((GOLDEN_DIR / "exit_codes.json").read_text())
+REPORTS = json.loads(make_golden.REPORT_FILE.read_text())
 
 
 def test_every_case_has_golden_files():
@@ -42,3 +48,22 @@ def test_output_matches_golden(case_id, tmp_path):
             )
             pytest.fail(f"{case_id}/{name} differs:\n" + "\n".join(list(diff)[:20]))
         assert (tmp_path / name).read_bytes() == (expected_dir / name).read_bytes()
+
+
+def test_every_report_case_has_a_golden_record():
+    assert sorted(REPORTS) == sorted(
+        make_golden.report_key(case_id, omega_q)
+        for case_id in make_golden.REPORT_CASES
+        for omega_q in make_golden.REPORT_OMEGAS_GHZ
+    )
+
+
+@pytest.mark.parametrize("omega_q", make_golden.REPORT_OMEGAS_GHZ)
+@pytest.mark.parametrize("case_id", sorted(make_golden.REPORT_CASES))
+def test_report_matches_golden_to_the_bit(case_id, omega_q, monkeypatch):
+    memo = OrderedDict()
+    monkeypatch.setattr(lightmatter, "_spectra", memo)
+    want = REPORTS[make_golden.report_key(case_id, omega_q)]
+    assert make_golden.report_record(case_id, omega_q) == want  # memo miss
+    assert len(memo) == 1
+    assert make_golden.report_record(case_id, omega_q) == want  # memo hit

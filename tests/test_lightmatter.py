@@ -23,7 +23,8 @@ from dispersive_cqed.errors import (
     PoleProximity,
     QubitOnResonance,
 )
-from dispersive_cqed.impedance import aluminum
+from dispersive_cqed.cli import bundled_geometry_configs, load_run_config
+from dispersive_cqed.impedance import aluminum, calibrate_prefactor, niobium
 from dispersive_cqed.lightmatter import (
     QubitParams,
     cc_comparator_term,
@@ -42,6 +43,7 @@ from dispersive_cqed.modes import (
     dispersive_modes,
     mode_function,
     resonator_modes,
+    secular_roots,
 )
 
 from conftest import CALIBRATED_A, make_geometry
@@ -461,6 +463,84 @@ class TestReportContents:
         assert rep.totals.below_bandgap == 0.0
         with pytest.raises(DomainError):
             rep.convergence_curves()
+
+
+def _assembly_devices():
+    """Device id -> (material, geometry, n_max): the six bundled configs,
+    a niobium line with every mode below the gap and a three-load line."""
+    devices = {}
+    for path in bundled_geometry_configs():
+        run = load_run_config(path)
+        devices[path.stem] = (run.material, run.geometry, 30)
+    geo = make_geometry()
+    f_bare = geo.bare_frequency_ghz(secular_roots(geo, 1)[0])
+    devices["niobium"] = (calibrate_prefactor(niobium(), geo.g_geom, geo.ell_m, f_bare), geo, 40)
+    length = geo.length
+    loads = (QubitLoad(0.0, 1.0e-14), QubitLoad(0.37 * length, 2.0e-14),
+             QubitLoad(0.81 * length, 5.0e-15))
+    devices["three_load"] = (aluminum(CALIBRATED_A), replace(geo, qubits=loads), 30)
+    return devices
+
+
+class TestReportAssembly:
+    """The report's terms are the public per-mode functions, to the bit."""
+
+    DEVICES = _assembly_devices()
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.43, 1.0])
+    @pytest.mark.parametrize("device", sorted(DEVICES))
+    def test_terms_equal_the_public_functions(self, device, fraction):
+        material, geometry, n_max = self.DEVICES[device]
+        qubit = QubitParams(4.6, fraction * geometry.length, dipole_prefactor=1.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = lamb_shift_report(qubit, material, geometry, n_max)
+        pairs = [lamb_shift_term_branches(m, qubit, material, geometry) for m in report.modes]
+        assert list(report.per_mode_terms) == [plus + minus for plus, minus in pairs]
+        assert list(lamb_shift_terms(report.modes, qubit, material, geometry)) == list(
+            report.per_mode_terms
+        )
+        bare = resonator_modes(geometry, n_max)
+        assert list(report.comparator_terms) == [cc_comparator_term(m, qubit, geometry)
+                                                 for m in bare]
+
+
+class TestResonanceMessage:
+    """A qubit on a mode raises QubitOnResonance naming the first such mode,
+    dispersive modes before bare ones."""
+
+    N = 20
+
+    @pytest.fixture(scope="class")
+    def device(self):
+        geo, al = make_geometry(), aluminum(CALIBRATED_A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = lamb_shift_report(QubitParams(5.0, 0.0), al, geo, self.N)
+        return geo, al, report.modes, resonator_modes(geo, self.N)
+
+    def _message(self, device, omega_q):
+        geo, al, _, _ = device
+        with pytest.raises(QubitOnResonance) as info:
+            lamb_shift_report(QubitParams(omega_q, 0.0), al, geo, self.N)
+        return str(info.value)
+
+    @pytest.mark.parametrize("index", [0, 17])  # below and above the gap
+    def test_qubit_on_a_dispersive_pole(self, device, index):
+        nu = device[2][index].omega_n.nu
+        omega_q = nu * (1.0 + 3e-7)
+        assert self._message(device, omega_q) == (
+            f"qubit at {omega_q} GHz is degenerate with a mode at {nu} GHz"
+        )
+
+    @pytest.mark.parametrize("index", [0, 17])
+    def test_qubit_on_a_bare_mode_only(self, device, index):
+        nu = device[3][index].omega_n.nu
+        omega_q = nu * (1.0 - 3e-7)
+        assert all(abs(omega_q - m.omega_n.nu) > 1e-3 for m in device[2])
+        assert self._message(device, omega_q) == (
+            f"qubit at {omega_q} GHz is degenerate with a mode at {nu} GHz"
+        )
 
 
 class TestNaiveCutoff:
