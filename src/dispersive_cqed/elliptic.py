@@ -208,16 +208,16 @@ def endpoint_regularized(
 _CARLSON_MAX_ITER = 120
 
 
-def _real_arrays(fn: str, *args):
+def _real_arrays(fn: str, x, y, z):
     """The arguments as broadcast float64 arrays, if any of them is an ndarray.
 
     Returns None when every argument is a scalar (the ``cmath`` path).  Array
     arguments must be real, finite and non-negative: there the duplication
     steps stay in real arithmetic and equal the real parts of the scalar path.
     """
-    if not any(isinstance(t, np.ndarray) for t in args):
+    if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray) or isinstance(z, np.ndarray)):
         return None
-    arrays = [np.asarray(t) for t in args]
+    arrays = [np.asarray(t) for t in (x, y, z)]
     if any(a.dtype.kind not in "biuf" for a in arrays):
         raise DomainError(f"{fn}: array arguments must be real")
     arrays = [np.array(a, dtype=np.float64) for a in np.broadcast_arrays(*arrays)]
@@ -266,30 +266,119 @@ def _rd_series(X, Y):
     )
 
 
-def _duplicate_arrays(x, y, z, a, q, rd: bool):
-    """Masked duplication steps on float64 arrays.
+def _carlson(x, y, z, rf: bool, rd: bool, rtol: float = 1e-16):
+    """(R_F, R_D) at one argument triple; a result not asked for is None.
 
-    Each element takes the steps its scalar twin would take: it stops once
-    ``q <= |A|``.  Returns the final (x, y, a) and, for R_D, the per-element
-    factor 4^-m and the accumulated sum.
+    Both integrals duplicate the same (x, y, z) sequence (Carlson, Numer.
+    Algorithms 10 (1995) 13; DLMF 19.36(i)), so one loop drives the pair.
+    Each keeps its own mean A_m and stopping rule ``q <= |A_m|``, and its
+    state is frozen where that rule fires, which is where a loop of its own
+    would stop.  Scalars run the ``cmath`` loop of :func:`_duplicate`,
+    ndarrays the masked steps of :func:`_duplicate_arrays`; the input type is
+    checked once per pair.  Arguments so small that a step or the tail
+    divides by an underflowed zero raise DomainError on both paths.
     """
-    fac = np.ones_like(a)
-    acc = np.zeros_like(a)
+    name = "carlson_rf" if rf else "carlson_rd"
+    arrays = _real_arrays(name, x, y, z)
+    x, y, z = arrays or (complex(x), complex(y), complex(z))
+    some = bool if arrays is None else np.any
+    vx, vy, vz = x == 0, y == 0, z == 0
+    if rf and some(vx & vy | vy & vz | vz & vx):
+        raise DomainError("carlson_rf: at least two arguments vanish")
+    if rd and some(vz):
+        raise DomainError("carlson_rd: third argument must be nonzero")
+    if rd and some(vx & vy):
+        raise DomainError("carlson_rd: x and y both vanish")
+    try:
+        if arrays is None:
+            return _duplicate(x, y, z, rf, rd, rtol)
+        with np.errstate(divide="raise", invalid="raise"):
+            return _duplicate_arrays(x, y, z, rf, rd, rtol)
+    except (ZeroDivisionError, FloatingPointError):
+        raise DomainError(f"{name}: arguments so small that the steps underflow") from None
+
+
+def _duplicate(x: complex, y: complex, z: complex, rf: bool, rd: bool, rtol: float):
+    """:func:`_carlson` on complex scalars: one ``cmath`` duplication loop."""
+    af = (x + y + z) / 3.0
+    ad = (x + y + 3.0 * z) / 5.0
+    # A rule that is not asked for holds from the start: -inf <= |A|.
+    qf = -math.inf if not rf else (
+        (3.0 * rtol) ** (-1.0 / 8.0) * max(abs(af - x), abs(af - y), abs(af - z)))
+    qd = -math.inf if not rd else (
+        (0.25 * rtol) ** (-1.0 / 8.0) * max(abs(ad - x), abs(ad - y), abs(ad - z)))
+    f = d = None  # (x_m, y_m, A_m) where each rule fired
+    acc, fac = 0.0 + 0.0j, 1.0
     for _ in range(_CARLSON_MAX_ITER):
-        active = ~(q <= np.abs(a))
-        if not active.any():
+        if f is None and qf <= abs(af):
+            f = (x, y, af)
+        if d is None and qd <= abs(ad):
+            d = (x, y, ad)
+        if f is not None and d is not None:
+            break
+        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        if d is None:
+            acc += fac / (sz * (z + lam))
+            fac *= 0.25
+            ad = 0.25 * (ad + lam)
+            qd *= 0.25
+        if f is None:
+            af = 0.25 * (af + lam)
+            qf *= 0.25
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+    else:
+        f = f or (x, y, af)
+        d = d or (x, y, ad)
+    return _tails(cmath.sqrt, f if rf else None, d if rd else None, fac, acc)
+
+
+def _duplicate_arrays(x, y, z, rf: bool, rd: bool, rtol: float):
+    """:func:`_carlson` on float64 arrays, by masked duplication steps.
+
+    Each element takes the steps its scalar twin takes, and each of its two
+    results is frozen where its own rule fires.
+    """
+    af = (x + y + z) / 3.0
+    ad = (x + y + 3.0 * z) / 5.0
+    qf = (3.0 * rtol) ** (-1.0 / 8.0) * np.abs([af - x, af - y, af - z]).max(0) if rf else -np.inf
+    qd = (0.25 * rtol) ** (-1.0 / 8.0) * np.abs([ad - x, ad - y, ad - z]).max(0) if rd else -np.inf
+    fx, fy, dx, dy = x, y, x, y
+    fac, acc = np.ones_like(x), np.zeros_like(x)
+    for _ in range(_CARLSON_MAX_ITER):
+        active_f = ~(qf <= np.abs(af))
+        active_d = ~(qd <= np.abs(ad))
+        if not (active_f.any() or active_d.any()):
             break
         sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
         lam = sx * sy + sy * sz + sz * sx
         if rd:
-            acc = np.where(active, acc + fac / (sz * (z + lam)), acc)
-            fac = np.where(active, fac * 0.25, fac)
-        x = np.where(active, 0.25 * (x + lam), x)
-        y = np.where(active, 0.25 * (y + lam), y)
-        z = np.where(active, 0.25 * (z + lam), z)
-        a = np.where(active, 0.25 * (a + lam), a)
-        q = np.where(active, q * 0.25, q)
-    return x, y, a, fac, acc
+            acc = np.where(active_d, acc + fac / (sz * (z + lam)), acc)
+            fac = np.where(active_d, fac * 0.25, fac)
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        if rf:
+            fx, fy = np.where(active_f, x, fx), np.where(active_f, y, fy)
+            af, qf = np.where(active_f, 0.25 * (af + lam), af), np.where(active_f, qf * 0.25, qf)
+        if rd:
+            dx, dy = np.where(active_d, x, dx), np.where(active_d, y, dy)
+            ad, qd = np.where(active_d, 0.25 * (ad + lam), ad), np.where(active_d, qd * 0.25, qd)
+    return _tails(np.sqrt, (fx, fy, af) if rf else None, (dx, dy, ad) if rd else None, fac, acc)
+
+
+def _tails(sqrt, f, d, fac, acc):
+    """R_F and R_D from their frozen (x_m, y_m, A_m); R_D also from 4^-m and its sum.
+
+    With A_m preserved by the recurrence, Carlson's normalized deviations
+    (A_0 - x_0)/(4^m A_m) equal (A_m - x_m)/A_m exactly, for either mean.
+    """
+    rf = rd = None
+    if f is not None:
+        x, y, a = f
+        rf = _rf_series((a - x) / a, (a - y) / a) / sqrt(a)
+    if d is not None:
+        x, y, a = d
+        rd = fac * _rd_series((a - x) / a, (a - y) / a) / (a * sqrt(a)) + 3.0 * acc
+    return rf, rd
 
 
 def carlson_rf(x, y, z, rtol: float = 1e-16):
@@ -306,36 +395,7 @@ def carlson_rf(x, y, z, rtol: float = 1e-16):
     which must be finite and non-negative, and a float64 array is returned;
     each element equals the real part of the scalar call on it, bit for bit.
     """
-    arrays = _real_arrays("carlson_rf", x, y, z)
-    if arrays is not None:
-        x, y, z = arrays
-        if np.any((x == 0) & (y == 0) | (y == 0) & (z == 0) | (z == 0) & (x == 0)):
-            raise DomainError("carlson_rf: at least two arguments vanish")
-        a = (x + y + z) / 3.0
-        q = (3.0 * rtol) ** (-1.0 / 8.0) * np.maximum(
-            np.maximum(np.abs(a - x), np.abs(a - y)), np.abs(a - z)
-        )
-        x, y, a, _, _ = _duplicate_arrays(x, y, z, a, q, rd=False)
-        return _rf_series((a - x) / a, (a - y) / a) / np.sqrt(a)
-    x, y, z = complex(x), complex(y), complex(z)
-    if sum(1 for t in (x, y, z) if t == 0) >= 2:
-        raise DomainError("carlson_rf: at least two arguments vanish")
-    a = (x + y + z) / 3.0
-    a0 = a
-    q = (3.0 * rtol) ** (-1.0 / 8.0) * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
-    for _ in range(_CARLSON_MAX_ITER):
-        if q <= abs(a):
-            break
-        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
-        lam = sx * sy + sy * sz + sz * sx
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        z = 0.25 * (z + lam)
-        a = 0.25 * (a + lam)
-        q *= 0.25
-    # With A_m = (x_m + y_m + z_m)/3 preserved by the recurrence, Carlson's
-    # normalized deviations (A0 - x0)/(4^m A_m) equal (A_m - x_m)/A_m.
-    return _rf_series((a - x) / a, (a - y) / a) / cmath.sqrt(a)
+    return _carlson(x, y, z, True, False, rtol)[0]
 
 
 def carlson_rd(x, y, z, rtol: float = 1e-16):
@@ -345,45 +405,7 @@ def carlson_rd(x, y, z, rtol: float = 1e-16):
     at most one of ``x``, ``y`` may vanish.  Array arguments are handled as
     in :func:`carlson_rf`.
     """
-    arrays = _real_arrays("carlson_rd", x, y, z)
-    if arrays is not None:
-        x, y, z = arrays
-        if np.any(z == 0):
-            raise DomainError("carlson_rd: third argument must be nonzero")
-        if np.any((x == 0) & (y == 0)):
-            raise DomainError("carlson_rd: x and y both vanish")
-        a = (x + y + 3.0 * z) / 5.0
-        q = (0.25 * rtol) ** (-1.0 / 8.0) * np.maximum(
-            np.maximum(np.abs(a - x), np.abs(a - y)), np.abs(a - z)
-        )
-        x, y, a, fac, acc = _duplicate_arrays(x, y, z, a, q, rd=True)
-        series = _rd_series((a - x) / a, (a - y) / a)
-        return fac * series / (a * np.sqrt(a)) + 3.0 * acc
-    x, y, z = complex(x), complex(y), complex(z)
-    if z == 0:
-        raise DomainError("carlson_rd: third argument must be nonzero")
-    if x == 0 and y == 0:
-        raise DomainError("carlson_rd: x and y both vanish")
-    a = (x + y + 3.0 * z) / 5.0
-    a0 = a
-    q = (0.25 * rtol) ** (-1.0 / 8.0) * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
-    acc = 0.0 + 0.0j
-    fac = 1.0
-    for _ in range(_CARLSON_MAX_ITER):
-        if q <= abs(a):
-            break
-        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
-        lam = sx * sy + sy * sz + sz * sx
-        acc += fac / (sz * (z + lam))
-        fac *= 0.25
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        z = 0.25 * (z + lam)
-        a = 0.25 * (a + lam)
-        q *= 0.25
-    # For R_D the mean A_m = (x_m + y_m + 3 z_m)/5 is preserved as well, so
-    # (A0 - x0)/(4^m A_m) = (A_m - x_m)/A_m exactly.
-    return fac * _rd_series((a - x) / a, (a - y) / a) / (a * cmath.sqrt(a)) + 3.0 * acc
+    return _carlson(x, y, z, False, True, rtol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +439,12 @@ def ellip_complete_e(k: complex) -> complex:
 def _complete_pair(kc2: complex, k2: complex) -> Tuple[complex, complex]:
     """(K, E) from the parameter k2 = k^2 and its complement kc2 = 1 - k^2.
 
-    One R_F serves both integrals.  Passing the complement directly keeps
-    full relative accuracy when it is small (k near 1), which forming
-    1 - k^2 from k would not.
+    One duplication loop gives R_F and R_D, and the R_F serves both
+    integrals.  Passing the complement directly keeps full relative accuracy
+    when it is small (k near 1), which forming 1 - k^2 from k would not.
     """
-    rf = carlson_rf(0.0, kc2, 1.0)
-    return rf, rf - (k2 / 3.0) * carlson_rd(0.0, kc2, 1.0)
+    rf, rd = _carlson(0.0, kc2, 1.0, True, True)
+    return rf, rf - (k2 / 3.0) * rd
 
 
 def _complete_ke(k: complex) -> Tuple[complex, complex]:
@@ -578,20 +600,16 @@ def _branch_sign(z: complex, k: complex) -> int:
 def _incomplete_carlson(
     z: complex, k: complex, second_kind: bool
 ) -> Tuple[complex, complex | None]:
-    """Carlson forms (F, E) at (z, k) sharing one R_F; E only if asked.
+    """Carlson forms (F, E) at (z, k) from one (R_F, R_D) loop; E only if asked.
 
     F is -z R_F(1 - z^2, 1 - k^2 z^2, 1), which equals the literal integral
     only up to the sign of :func:`_branch_sign`; E equals it as it stands.
     """
     zz = z * z
-    args = (1.0 - zz, 1.0 - k * k * zz, 1.0)
-    rf = carlson_rf(*args)
-    if not second_kind:
-        return -z * rf, None
-    e = z * rf
-    if k != 0:
-        e -= (k * k * z * zz / 3.0) * carlson_rd(*args)
-    return -z * rf, e
+    rf, rd = _carlson(1.0 - zz, 1.0 - k * k * zz, 1.0, True, second_kind and k != 0)
+    if rd is not None:
+        return -z * rf, z * rf - (k * k * z * zz / 3.0) * rd
+    return -z * rf, (z * rf if second_kind else None)
 
 
 def _incomplete(z: complex, k: complex, method: str, second_kind: bool) -> complex:

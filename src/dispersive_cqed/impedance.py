@@ -124,8 +124,8 @@ def _split_frequency(material: Material, frequency_ghz: complex) -> ComplexFreq:
     a tiny negative imaginary part (roundoff from upstream solvers) is snapped
     to zero rather than rejected.
     """
-    nu = 2.0 * float(np.real(frequency_ghz)) / material.gap_frequency
-    kap = 2.0 * float(np.imag(frequency_ghz)) / material.gap_frequency
+    nu = 2.0 * float(frequency_ghz.real) / material.gap_frequency
+    kap = 2.0 * float(frequency_ghz.imag) / material.gap_frequency
     if abs(kap) <= _IMAG_TOL * max(1.0, abs(nu)):
         kap = 0.0
     if kap < 0.0:
@@ -187,13 +187,13 @@ def epsilon(
         return RefractiveIndex(value=1.0 + 0.0j, frequency=frequency_ghz)
     z_s = surface_impedance(material, frequency_ghz)
     omega = _TWO_PI_GHZ * frequency_ghz
-    if np.imag(frequency_ghz) == 0.0 and z_s.real == 0.0:
+    if frequency_ghz.imag == 0.0 and z_s.real == 0.0:
         # 1 + g X_s / (omega l_m), kept in real arithmetic.
-        value = complex(1.0 + g_geom * z_s.imag / (float(np.real(omega)) * ell_m), 0.0)
+        value = complex(1.0 + g_geom * z_s.imag / (float(omega.real) * ell_m), 0.0)
     else:
         value = 1.0 + g_geom * z_s / (1j * omega * ell_m)
-        if 2.0 * float(np.real(frequency_ghz)) / material.gap_frequency > 2.0:
-            if value.imag > 0.0 and float(np.imag(frequency_ghz)) == 0.0:
+        if 2.0 * float(frequency_ghz.real) / material.gap_frequency > 2.0:
+            if value.imag > 0.0 and float(frequency_ghz.imag) == 0.0:
                 raise DomainError(
                     f"above-gap epsilon acquired a gain-like sign: {value} at {frequency_ghz} GHz"
                 )

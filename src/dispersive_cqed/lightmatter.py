@@ -44,6 +44,7 @@ from .modes import (
     Mode,
     ResonatorGeometry,
     _eval_segments,
+    _mode_matrix,
     _stack,
     _with_eigenfrequencies,
     greens_function,
@@ -141,10 +142,12 @@ def _dimensionless_amplitude(mode: Mode, geometry: ResonatorGeometry, x: float) 
     return float(mode_function(mode, geometry, x)) * _amplitude_scale(geometry)
 
 
-def _check_resonance(omega_q: float, nu_n: float) -> None:
-    if abs(omega_q - nu_n) < _RESONANCE_REL_TOL * omega_q:
+def _check_resonance(omega_q: float, nu: np.ndarray) -> None:
+    """Refuse a qubit on any of the mode frequencies ``nu``; the message names the first."""
+    on = np.abs(omega_q - nu) < _RESONANCE_REL_TOL * omega_q
+    if on.any():
         raise QubitOnResonance(
-            f"qubit at {omega_q} GHz is degenerate with a mode at {nu_n} GHz"
+            f"qubit at {omega_q} GHz is degenerate with a mode at {float(nu[on.argmax()])} GHz"
         )
 
 
@@ -218,22 +221,39 @@ def lamb_shift_term_branches(
     the sum is exactly real.  Exposed separately so the mirror-pair realness
     can be checked branch by branch.
     """
-    _check_position(qubit, geometry)
-    _check_resonance(qubit.omega_q, mode.omega_n.nu)
+    return _mode_branches([mode], qubit, material, geometry)[0]
+
+
+def _pole_constants(mode: Mode, material: Material, geometry: ResonatorGeometry):
+    """The qubit-independent half of T_n: (omega_p, b, conj(omega_p), conj(b))."""
     omega_p = complex(mode.omega_n.nu, mode.omega_n.kappa)
     eps = epsilon(material, geometry.g_geom, geometry.ell_m, omega_p).value
-    psi = _dimensionless_amplitude(mode, geometry, qubit.x_q)
-    return _pole_branches(omega_p, eps, psi, qubit)
-
-
-def _pole_branches(omega_p: complex, eps, psi: float, qubit: QubitParams):
-    """Mirror branches of T_n (MHz) from the pole, eps(omega_p) and psi."""
-    omega_q = qubit.omega_q
     b = -1j * abs(eps) ** 2 - eps.real * eps.imag
-    pref = 1j * qubit.dipole_prefactor**2 * psi**2 * 1e3  # GHz -> MHz
-    plus = pref * omega_p * b / (omega_q - omega_p)
-    minus = pref * omega_p.conjugate() * b.conjugate() / (omega_q + omega_p.conjugate())
-    return plus, minus
+    return omega_p, b, omega_p.conjugate(), b.conjugate()
+
+
+def _pole_branches(poles, psi, qubit: QubitParams):
+    """Mirror branches (plus, minus) of T_n in MHz, per pole constants and amplitude psi."""
+    omega_q = qubit.omega_q
+    scale = 1j * qubit.dipole_prefactor**2
+    for (omega_p, b, omega_pc, bc), amp in zip(poles, psi):
+        pref = scale * amp**2 * 1e3  # GHz -> MHz
+        yield pref * omega_p * b / (omega_q - omega_p), pref * omega_pc * bc / (omega_q + omega_pc)
+
+
+def _mode_branches(modes, qubit, material, geometry) -> list[tuple[complex, complex]]:
+    """Mirror branches of each mode's T_n (MHz), with Psi_n(x_q) from one kernel call."""
+    _check_position(qubit, geometry)
+    if not modes:
+        return []
+    _check_resonance(qubit.omega_q, _frequencies(modes))
+    poles = [_pole_constants(m, material, geometry) for m in modes]
+    at_qubit = _mode_matrix(modes, geometry, np.array([qubit.x_q]))[:, 0]
+    return list(_pole_branches(poles, (at_qubit * _amplitude_scale(geometry)).tolist(), qubit))
+
+
+def _frequencies(modes) -> np.ndarray:
+    return np.array([m.omega_n.nu for m in modes])
 
 
 def lamb_shift_terms(
@@ -247,11 +267,8 @@ def lamb_shift_terms(
     The reported physical contribution of mode n is the real part; below-gap
     modes (kappa_n = 0) produce exactly real terms through the same formula.
     """
-    out = np.empty(len(modes), dtype=complex)
-    for i, mode in enumerate(modes):
-        plus, minus = lamb_shift_term_branches(mode, qubit, material, geometry)
-        out[i] = plus + minus
-    return out
+    branches = _mode_branches(modes, qubit, material, geometry)
+    return np.array([plus + minus for plus, minus in branches], dtype=complex)
 
 
 def cc_comparator_term(
@@ -266,12 +283,12 @@ def cc_comparator_term(
     modes straight from :func:`resonator_modes`.
     """
     _check_position(qubit, geometry)
-    _check_resonance(qubit.omega_q, mode.omega_n.nu)
+    _check_resonance(qubit.omega_q, _frequencies([mode]))
     return _comparator(mode.omega_n.nu, _dimensionless_amplitude(mode, geometry, qubit.x_q), qubit)
 
 
-def _comparator(omega_n: float, psi: float, qubit: QubitParams) -> float:
-    """Dispersionless term (MHz) of a mode at frequency omega_n with amplitude psi."""
+def _comparator(omega_n, psi, qubit: QubitParams):
+    """Dispersionless terms (MHz) at frequencies omega_n, amplitudes psi (floats or arrays)."""
     omega_q = qubit.omega_q
     term = omega_n * psi**2 * (1.0 / (omega_q - omega_n) - 1.0 / (omega_q + omega_n))
     return qubit.dipole_prefactor**2 * term * 1e3
@@ -291,14 +308,17 @@ class _ModalSpectrum:
     """The qubit-independent half of a report, fixed by the device alone.
 
     ``lossless`` are the bare modes, ``dispersive`` the same modes carrying
-    their dispersion fixed points, ``eps`` the refractive index at each pole
-    and ``below_gap`` flags the bare frequencies below the gap.  ``stack``
+    their dispersion fixed points, ``poles`` the :func:`_pole_constants` of
+    each, ``nu`` and ``nu_bare`` the dispersive and bare frequencies, and
+    ``below_gap`` flags the bare frequencies below the gap.  ``stack``
     holds the spatial data of the modes as ``modes._eval_segments`` takes it.
     """
 
     lossless: tuple[Mode, ...]
     dispersive: tuple[Mode, ...]
-    eps: tuple[complex, ...]
+    poles: tuple[tuple[complex, complex, complex, complex], ...]
+    nu: np.ndarray
+    nu_bare: np.ndarray
     below_gap: np.ndarray
     stack: tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -314,14 +334,10 @@ def _solve_spectrum(
 ) -> _ModalSpectrum:
     lossless = tuple(resonator_modes(geometry, n_max))
     dispersive = tuple(_with_eigenfrequencies(lossless, material, geometry, options))
-    eps = tuple(
-        epsilon(
-            material, geometry.g_geom, geometry.ell_m, complex(m.omega_n.nu, m.omega_n.kappa)
-        ).value
-        for m in dispersive
-    )
+    poles = tuple(_pole_constants(m, material, geometry) for m in dispersive)
     below_gap = np.array([material.reduced(m.omega_n.nu) < 2.0 for m in lossless])
-    return _ModalSpectrum(lossless, dispersive, eps, below_gap, _stack(lossless))
+    return _ModalSpectrum(lossless, dispersive, poles, _frequencies(dispersive),
+                          _frequencies(lossless), below_gap, _stack(lossless))
 
 
 def _reissue(caught) -> None:
@@ -386,20 +402,15 @@ def lamb_shift_report(
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     _check_position(qubit, geometry)
     spectrum = _modal_spectrum(material, geometry, n_max, options)
+    _check_resonance(qubit.omega_q, spectrum.nu)
+    _check_resonance(qubit.omega_q, spectrum.nu_bare)
     at_qubit = _eval_segments(np.array([qubit.x_q]), *spectrum.stack, geometry)[:, 0]
-    psi = (at_qubit * _amplitude_scale(geometry)).tolist()
-    terms = np.empty(len(psi), dtype=complex)
-    for i, (mode, eps, amp) in enumerate(zip(spectrum.dispersive, spectrum.eps, psi)):
-        _check_resonance(qubit.omega_q, mode.omega_n.nu)
-        plus, minus = _pole_branches(complex(mode.omega_n.nu, mode.omega_n.kappa), eps, amp, qubit)
-        terms[i] = plus + minus
+    psi = at_qubit * _amplitude_scale(geometry)
+    branches = _pole_branches(spectrum.poles, psi.tolist(), qubit)
+    terms = np.array([plus + minus for plus, minus in branches])
     normalized = normalized_convergence(terms)
     partial = np.cumsum(terms)
-    for mode in spectrum.lossless:
-        _check_resonance(qubit.omega_q, mode.omega_n.nu)
-    cc_terms = np.array(
-        [_comparator(m.omega_n.nu, amp, qubit) for m, amp in zip(spectrum.lossless, psi)]
-    )
+    cc_terms = _comparator(spectrum.nu_bare, psi, qubit)
     below_gap = spectrum.below_gap.copy()
     return LambShiftReport(
         per_mode_terms=terms,

@@ -270,10 +270,11 @@ def _eval_segments(
     (P, Q) per segment, shape (modes, segments, 2); the segment breaks are
     the geometry's, shared by every mode.
     """
-    if np.any((x < 0.0) | (x > geometry.length)):
+    if ((x < 0.0) | (x > geometry.length)).any():
         raise DomainError("x outside the resonator")
     breaks = _segment_breaks(geometry)
-    idx = np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, amplitudes.shape[1] - 1)
+    idx = np.searchsorted(breaks, x, side="right") - 1
+    idx = np.minimum(np.maximum(idx, 0), amplitudes.shape[1] - 1)  # np.clip is slower
     kx = k[:, None] * x
     return norm[:, None] * (amplitudes[:, idx, 0] * np.cos(kx) + amplitudes[:, idx, 1] * np.sin(kx))
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dispersive_cqed.elliptic import (
     ContourSegment,
+    _carlson,
     _complete_ke,
     _incomplete_fe,
     carlson_rd,
@@ -259,6 +260,33 @@ class TestSharedPairs:
                         _incomplete_fe(z, k)
                     continue
                 assert _incomplete_fe(z, k) == want
+
+    @given(st.tuples(*[st.builds(complex, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))] * 3))
+    @settings(max_examples=200, deadline=None)
+    def test_one_loop_pair_equals_the_single_integrals(self, args):
+        # Each result is frozen where its own stopping rule fires, so the
+        # pair equals R_F and R_D run alone, signed zeros included.
+        try:
+            want = (carlson_rf(*args), carlson_rd(*args))
+        except DomainError:
+            with pytest.raises(DomainError):
+                _carlson(*args, True, True)
+            return
+        got = _carlson(*args, True, True)
+        assert [(v.real.hex(), v.imag.hex()) for v in got] == [
+            (v.real.hex(), v.imag.hex()) for v in want
+        ]
+
+    def test_underflowing_steps_raise_on_both_paths(self):
+        # R_D(0, 1e-67, 2e-313) overflows: a duplication step divides by a
+        # product that underflows to zero.  R_F at the smallest subnormal
+        # steps its mean down to zero.  Scalars and arrays both raise.
+        for fn, args in ((carlson_rd, (0.0, 1.033459544339372e-67, 2.2250738585e-313)),
+                         (carlson_rf, (0.0, 5e-324, 5e-324))):
+            with pytest.raises(DomainError, match="underflow"):
+                fn(*args)
+            with pytest.raises(DomainError, match="underflow"):
+                fn(*(np.array([v]) for v in args))
 
 
 def _admissible(z: complex, k: complex) -> bool:
