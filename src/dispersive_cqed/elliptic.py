@@ -6,8 +6,8 @@ Provides the numerical core used by the conductivity closed forms:
   complex plane, with an explicit error contract,
 * Carlson symmetric integrals R_F and R_D for complex arguments via the
   duplication theorem (B. C. Carlson, Numer. Math. 33, 1 (1979); Numerical
-  Algorithms 10, 13 (1995)); both also take float64 arrays of non-negative
-  arguments and return, element by element, the bits of the scalar call,
+  Algorithms 10, 13 (1995)), a pair from one loop; also on float64 arrays
+  of non-negative arguments, element by element the bits of the scalar call,
 * complete integrals K(k), E(k) in the modulus convention, plus an
   independent AGM evaluation of K used for cross-checking,
 * incomplete integrals in the convention of the conductivity derivation,
