@@ -29,7 +29,6 @@ from .errors import (
 from .impedance import (
     LimitRegime,
     Material,
-    RefractiveIndex,
     aluminum,
     calibrate_prefactor,
     epsilon,
@@ -92,7 +91,6 @@ __all__ = [
     "QubitLoad",
     "QubitOnResonance",
     "QubitParams",
-    "RefractiveIndex",
     "ResonatorGeometry",
     "SingularInterior",
     "aluminum",

@@ -6,7 +6,7 @@ Every subcommand reads one structured config file (YAML) with sections
     geometry:  {f0, z0, length, g_geom, qubits: [{position, c_series}, ...]}
                or {ell_m, c_per_len, length, g_geom, qubits: [...]}
     qubit:     {omega_q, x_q, dipole_prefactor}
-    solver:    {tol, max_iter, relaxation, N_max, epsilon_gap}
+    solver:    {tol, max_iter, N_max}
     output:    {format: csv|json, path, precision}
 
 Frequencies at this boundary are ordinary frequencies in GHz; reduced units
@@ -34,6 +34,7 @@ from .errors import ConfigError, DispersiveCqedError, DomainError
 from .impedance import (
     LimitRegime,
     Material,
+    _relative_residual,
     aluminum,
     kk_parts,
     niobium,
@@ -162,13 +163,11 @@ def _build_qubit(section: dict) -> QubitParams:
 
 
 def _build_solver(section: dict) -> tuple[FixedPointOptions, int]:
-    _check_keys(section, {"tol", "max_iter", "relaxation", "N_max", "epsilon_gap"}, "solver")
+    _check_keys(section, {"tol", "max_iter", "N_max"}, "solver")
     defaults = FixedPointOptions()
     options = FixedPointOptions(
         tol=float(section.get("tol", defaults.tol)),
         max_iter=int(section.get("max_iter", defaults.max_iter)),
-        relaxation=float(section.get("relaxation", defaults.relaxation)),
-        epsilon_gap=float(section.get("epsilon_gap", defaults.epsilon_gap)),
     )
     n_max = int(section.get("N_max", _DEFAULT_N_MAX))
     if n_max < 1:
@@ -509,7 +508,7 @@ def _cmd_lamb_shift(run: RunConfig, args: argparse.Namespace) -> list[Table]:
     if args.model == "all":
         curves = report.convergence_curves()
     else:
-        curves = {args.model: report._convergence_curve(args.model)}
+        curves = {args.model: report.convergence_curve(args.model)}
     models = list(curves)
     convergence = Table(
         name="convergence",
@@ -558,11 +557,7 @@ def _cmd_kk_check(run: RunConfig, args: argparse.Namespace) -> list[Table]:
     for probe in probes:
         try:
             lhs, rhs = kk_parts(material, probe, f_max_ghz=args.f_max)
-            if rhs == 0.0:
-                residual = 0.0 if lhs == 0.0 else math.inf
-            else:
-                residual = abs(lhs - rhs) / abs(rhs)
-            table.rows.append([probe, lhs, rhs, residual])
+            table.rows.append([probe, lhs, rhs, _relative_residual(lhs, rhs)])
             status.append("ok")
         except DispersiveCqedError as exc:
             table.rows.append([probe, math.nan, math.nan, math.nan])

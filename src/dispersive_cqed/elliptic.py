@@ -11,12 +11,13 @@ Provides the numerical core used by the conductivity closed forms:
 * complete integrals K(k), E(k) in the modulus convention, plus an
   independent AGM evaluation of K used for cross-checking,
 * incomplete integrals in the convention of the conductivity derivation,
-  defined by quadrature of the literal integrands.  The default method
-  evaluates the Carlson forms instead and fixes their branch by a closed
-  rule: the first-kind form is right up to the sign
-  sgn Im(z^2) * sgn Im(k^2 z^2), and where no sign can be read (a real z^2
-  or k^2 z^2, which includes every end point on a cut) the literal
-  integrand is integrated by quadrature.
+  defined by quadrature of the literal integrands (``method="quadrature"``,
+  the oracle).  The default ``method="auto"`` evaluates the Carlson forms
+  instead and fixes their branch by a closed rule: the first-kind form is
+  right up to the sign sgn Im(z^2) * sgn Im(k^2 z^2), and where no sign can
+  be read (a real z^2 or k^2 z^2, which includes every end point on a cut)
+  the literal integrand is integrated by quadrature.  Both methods take one
+  path, :func:`_incomplete`, which returns F, E or both.
 
 All square roots are principal-branch and evaluated pointwise: `numpy.sqrt`
 on complex arrays in the integrands, `cmath.sqrt` on scalars in the Carlson
@@ -206,6 +207,11 @@ def endpoint_regularized(
 # ---------------------------------------------------------------------------
 
 _CARLSON_MAX_ITER = 120
+# Carlson's stopping factors for a relative error of 1e-16: a loop stops once
+# |A_m| >= q_m, where q_0 is the factor times the largest |A_0 - x_0| and
+# each duplication step divides q_m by 4.
+_RF_STOP = (3.0 * 1e-16) ** (-1.0 / 8.0)
+_RD_STOP = (0.25 * 1e-16) ** (-1.0 / 8.0)
 
 
 def _real_arrays(fn: str, x, y, z):
@@ -266,7 +272,7 @@ def _rd_series(X, Y):
     )
 
 
-def _carlson(x, y, z, rf: bool, rd: bool, rtol: float = 1e-16):
+def _carlson(x, y, z, rf: bool, rd: bool):
     """(R_F, R_D) at one argument triple; a result not asked for is None.
 
     Both integrals duplicate the same (x, y, z) sequence (Carlson, Numer.
@@ -291,22 +297,20 @@ def _carlson(x, y, z, rf: bool, rd: bool, rtol: float = 1e-16):
         raise DomainError("carlson_rd: x and y both vanish")
     try:
         if arrays is None:
-            return _duplicate(x, y, z, rf, rd, rtol)
+            return _duplicate(x, y, z, rf, rd)
         with np.errstate(divide="raise", invalid="raise"):
-            return _duplicate_arrays(x, y, z, rf, rd, rtol)
+            return _duplicate_arrays(x, y, z, rf, rd)
     except (ZeroDivisionError, FloatingPointError):
         raise DomainError(f"{name}: arguments so small that the steps underflow") from None
 
 
-def _duplicate(x: complex, y: complex, z: complex, rf: bool, rd: bool, rtol: float):
+def _duplicate(x: complex, y: complex, z: complex, rf: bool, rd: bool):
     """:func:`_carlson` on complex scalars: one ``cmath`` duplication loop."""
     af = (x + y + z) / 3.0
     ad = (x + y + 3.0 * z) / 5.0
     # A rule that is not asked for holds from the start: -inf <= |A|.
-    qf = -math.inf if not rf else (
-        (3.0 * rtol) ** (-1.0 / 8.0) * max(abs(af - x), abs(af - y), abs(af - z)))
-    qd = -math.inf if not rd else (
-        (0.25 * rtol) ** (-1.0 / 8.0) * max(abs(ad - x), abs(ad - y), abs(ad - z)))
+    qf = _RF_STOP * max(abs(af - x), abs(af - y), abs(af - z)) if rf else -math.inf
+    qd = _RD_STOP * max(abs(ad - x), abs(ad - y), abs(ad - z)) if rd else -math.inf
     f = d = None  # (x_m, y_m, A_m) where each rule fired
     acc, fac = 0.0 + 0.0j, 1.0
     for _ in range(_CARLSON_MAX_ITER):
@@ -333,7 +337,7 @@ def _duplicate(x: complex, y: complex, z: complex, rf: bool, rd: bool, rtol: flo
     return _tails(cmath.sqrt, f if rf else None, d if rd else None, fac, acc)
 
 
-def _duplicate_arrays(x, y, z, rf: bool, rd: bool, rtol: float):
+def _duplicate_arrays(x, y, z, rf: bool, rd: bool):
     """:func:`_carlson` on float64 arrays, by masked duplication steps.
 
     Each element takes the steps its scalar twin takes, and each of its two
@@ -341,8 +345,8 @@ def _duplicate_arrays(x, y, z, rf: bool, rd: bool, rtol: float):
     """
     af = (x + y + z) / 3.0
     ad = (x + y + 3.0 * z) / 5.0
-    qf = (3.0 * rtol) ** (-1.0 / 8.0) * np.abs([af - x, af - y, af - z]).max(0) if rf else -np.inf
-    qd = (0.25 * rtol) ** (-1.0 / 8.0) * np.abs([ad - x, ad - y, ad - z]).max(0) if rd else -np.inf
+    qf = _RF_STOP * np.abs([af - x, af - y, af - z]).max(0) if rf else -np.inf
+    qd = _RD_STOP * np.abs([ad - x, ad - y, ad - z]).max(0) if rd else -np.inf
     fx, fy, dx, dy = x, y, x, y
     fac, acc = np.ones_like(x), np.zeros_like(x)
     for _ in range(_CARLSON_MAX_ITER):
@@ -381,7 +385,7 @@ def _tails(sqrt, f, d, fac, acc):
     return rf, rd
 
 
-def carlson_rf(x, y, z, rtol: float = 1e-16):
+def carlson_rf(x, y, z):
     """Carlson R_F(x, y, z) for complex arguments off (-inf, 0).
 
     Duplication-theorem iteration with the degree-7 series tail of Carlson
@@ -395,17 +399,17 @@ def carlson_rf(x, y, z, rtol: float = 1e-16):
     which must be finite and non-negative, and a float64 array is returned;
     each element equals the real part of the scalar call on it, bit for bit.
     """
-    return _carlson(x, y, z, True, False, rtol)[0]
+    return _carlson(x, y, z, True, False)[0]
 
 
-def carlson_rd(x, y, z, rtol: float = 1e-16):
+def carlson_rd(x, y, z):
     """Carlson R_D(x, y, z) = R_J(x, y, z, z) for complex arguments.
 
     Same duplication scheme as :func:`carlson_rf`; ``z`` must be nonzero and
     at most one of ``x``, ``y`` may vanish.  Array arguments are handled as
     in :func:`carlson_rf`.
     """
-    return _carlson(x, y, z, False, True, rtol)[1]
+    return _carlson(x, y, z, False, True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +427,7 @@ def _check_modulus(k: complex) -> complex:
 
 def ellip_complete_k(k: complex) -> complex:
     """Complete elliptic integral K(k), modulus convention, via Carlson R_F."""
-    k = _check_modulus(k)
-    return carlson_rf(0.0, 1.0 - k * k, 1.0)
+    return _complete_ke(k)[0]
 
 
 def ellip_complete_e(k: complex) -> complex:
@@ -448,10 +451,11 @@ def _complete_pair(kc2: complex, k2: complex) -> Tuple[complex, complex]:
 
 
 def _complete_ke(k: complex) -> Tuple[complex, complex]:
-    """(K(k), E(k)) with one shared R_F; equal to the two public functions.
+    """(K(k), E(k)) with one shared R_F; both public functions return its parts.
 
-    Raises :class:`DomainError` on the whole cut k^2 in [1, inf), like
-    :func:`ellip_complete_k`.
+    Raises :class:`DomainError` on the whole cut k^2 in [1, inf).  The pair
+    loop freezes R_F where its own stopping rule fires, so K equals the
+    R_F-only value bit for bit.
     """
     k = _check_modulus(k)
     kc2 = 1.0 - k * k
@@ -597,36 +601,36 @@ def _branch_sign(z: complex, k: complex) -> int:
     return s
 
 
-def _incomplete_carlson(
-    z: complex, k: complex, second_kind: bool
-) -> Tuple[complex, complex | None]:
-    """Carlson forms (F, E) at (z, k) from one (R_F, R_D) loop; E only if asked.
+def _incomplete(z: complex, k: complex, method: str, f: bool, e: bool):
+    """(F, E) at (z, k) by ``method``; a value not asked for is None.
 
-    F is -z R_F(1 - z^2, 1 - k^2 z^2, 1), which equals the literal integral
-    only up to the sign of :func:`_branch_sign`; E equals it as it stands.
+    ``"quadrature"`` integrates the literal integrands.  ``"auto"`` takes the
+    Carlson forms from one (R_F, R_D) loop, with R_D only if E is asked for:
+    F = -s z R_F(1 - z^2, 1 - k^2 z^2, 1) with the sign s of
+    :func:`_branch_sign`, and E = z R_F - (k^2 z^3/3) R_D, which needs no
+    sign.  Where no sign can be read it integrates by quadrature too.
     """
-    zz = z * z
-    rf, rd = _carlson(1.0 - zz, 1.0 - k * k * zz, 1.0, True, second_kind and k != 0)
-    if rd is not None:
-        return -z * rf, z * rf - (k * k * z * zz / 3.0) * rd
-    return -z * rf, (z * rf if second_kind else None)
-
-
-def _incomplete(z: complex, k: complex, method: str, second_kind: bool) -> complex:
+    if method not in ("auto", "quadrature"):
+        raise DomainError(f"unknown method {method!r}")
     z, k = complex(z), complex(k)
     if z == 0:
-        return 0.0 + 0.0j
+        return (0.0j if f else None), (0.0j if e else None)
     terminal = _guard_path(z, k) is not None
-    if method not in ("auto", "carlson", "quadrature"):
-        raise DomainError(f"unknown method {method!r}")
-    s = _branch_sign(z, k) if method == "auto" else 1
-    if method == "quadrature" or s == 0:
-        integrand = (_defining_e_integrand if second_kind else _defining_f_integrand)(k)
-        return _incomplete_quadrature(integrand, z, terminal, 1e-12)
-    f, e = _incomplete_carlson(z, k, second_kind)
-    if second_kind:
-        return e
-    return f if s > 0 else -f
+    s = _branch_sign(z, k) if method == "auto" else 0
+    if s == 0:
+        return (
+            _incomplete_quadrature(_defining_f_integrand(k), z, terminal, 1e-12) if f else None,
+            _incomplete_quadrature(_defining_e_integrand(k), z, terminal, 1e-12) if e else None,
+        )
+    zz = z * z
+    rf, rd = _carlson(1.0 - zz, 1.0 - k * k * zz, 1.0, True, e and k != 0)
+    f_val = e_val = None
+    if f:
+        f_val = -z * rf
+        f_val = f_val if s > 0 else -f_val
+    if e:
+        e_val = z * rf if rd is None else z * rf - (k * k * z * zz / 3.0) * rd
+    return f_val, e_val
 
 
 def ellip_incomplete_f(z: complex, k: complex, method: str = "auto") -> complex:
@@ -634,18 +638,17 @@ def ellip_incomplete_f(z: complex, k: complex, method: str = "auto") -> complex:
 
     The defining evaluation (``method="quadrature"``) is adaptive quadrature
     of the literal integrand with pointwise principal square roots along the
-    straight path 0 -> z.  ``method="carlson"`` returns the Carlson form
-    -z*R_F(1-z^2, 1-k^2 z^2, 1), which equals the defining value up to the
-    sign sgn Im(z^2) * sgn Im(k^2 z^2) (the second factor +1 when k = 0).
-    ``"auto"`` (default) returns the Carlson form times that sign, and
-    integrates by quadrature where no sign can be read: Im(z^2) = 0, or
-    Im(k^2 z^2) = 0 with k != 0, which includes every path that ends on a
-    cut of the Carlson arguments.
+    straight path 0 -> z.  The Carlson form -z*R_F(1-z^2, 1-k^2 z^2, 1)
+    equals the defining value up to the sign sgn Im(z^2) * sgn Im(k^2 z^2)
+    (the second factor +1 when k = 0).  ``"auto"`` (default) returns the
+    Carlson form times that sign, and integrates by quadrature where no sign
+    can be read: Im(z^2) = 0, or Im(k^2 z^2) = 0 with k != 0, which includes
+    every path that ends on a cut of the Carlson arguments.
 
     Raises :class:`BranchPointOnPath` if the open path hits +-1 or +-1/k;
     a terminal point *at* a branch point is admissible (integrable).
     """
-    return _incomplete(z, k, method, second_kind=False)
+    return _incomplete(z, k, method, True, False)[0]
 
 
 def ellip_incomplete_e(z: complex, k: complex, method: str = "auto") -> complex:
@@ -656,23 +659,5 @@ def ellip_incomplete_e(z: complex, k: complex, method: str = "auto") -> complex:
     sign; ``"auto"`` uses it wherever the first-kind rule reads a sign and
     quadrature elsewhere.
     """
-    return _incomplete(z, k, method, second_kind=True)
+    return _incomplete(z, k, method, False, True)[1]
 
-
-def _incomplete_fe(z: complex, k: complex) -> Tuple[complex, complex]:
-    """(F, E) at (z, k) with one shared R_F.
-
-    Equal to the two public functions with ``method="auto"``.
-    """
-    z, k = complex(z), complex(k)
-    if z == 0:
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    terminal = _guard_path(z, k) is not None
-    s = _branch_sign(z, k)
-    if s == 0:
-        return (
-            _incomplete_quadrature(_defining_f_integrand(k), z, terminal, 1e-12),
-            _incomplete_quadrature(_defining_e_integrand(k), z, terminal, 1e-12),
-        )
-    f, e = _incomplete_carlson(z, k, second_kind=True)
-    return (f if s > 0 else -f), e

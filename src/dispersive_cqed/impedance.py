@@ -106,15 +106,9 @@ def niobium(impedance_prefactor: float = 1.0, gap_frequency: float = _NB_GAP_GHZ
     )
 
 
-@dataclass(frozen=True)
-class RefractiveIndex:
-    """Complex epsilon(omega) = 1 + g Z_s / (i omega l_m) at one frequency (GHz)."""
-
-    value: complex
-    frequency: complex
-
-
 _IMAG_TOL = 1e-12
+# Decades beyond the grid end over which kk_parts integrates its fitted tail.
+_TAIL_DECADES = 3.0
 
 
 def _split_frequency(material: Material, frequency_ghz: complex) -> ComplexFreq:
@@ -173,8 +167,8 @@ def epsilon(
     g_geom: float,
     ell_m: float,
     frequency_ghz: complex,
-) -> RefractiveIndex:
-    """Refractive index epsilon = 1 + g Z_s / (i omega l_m).
+) -> complex:
+    """Refractive index epsilon = 1 + g Z_s / (i omega l_m), a complex number.
 
     g_geom is the geometric factor (1/m) and ell_m the magnetic inductance per
     unit length (H/m); omega is the angular frequency 2*pi*f corresponding to
@@ -184,7 +178,7 @@ def epsilon(
     if g_geom < 0.0 or ell_m <= 0.0:
         raise DomainError(f"need g_geom >= 0 and ell_m > 0, got {g_geom}, {ell_m}")
     if material.impedance_prefactor == 0.0:
-        return RefractiveIndex(value=1.0 + 0.0j, frequency=frequency_ghz)
+        return 1.0 + 0.0j
     z_s = surface_impedance(material, frequency_ghz)
     omega = _TWO_PI_GHZ * frequency_ghz
     if frequency_ghz.imag == 0.0 and z_s.real == 0.0:
@@ -197,7 +191,7 @@ def epsilon(
                 raise DomainError(
                     f"above-gap epsilon acquired a gain-like sign: {value} at {frequency_ghz} GHz"
                 )
-    return RefractiveIndex(value=value, frequency=frequency_ghz)
+    return value
 
 
 def _real_part_on_grid(material: Material, nu_grid: np.ndarray) -> np.ndarray:
@@ -225,7 +219,6 @@ def kk_parts(
     *,
     f_max_ghz: float | None = None,
     n_grid: int = 4001,
-    tail_decades: float = 3.0,
 ) -> tuple[float, float]:
     """Both sides of the dispersion (Kramers-Kronig) relation at one probe.
 
@@ -237,9 +230,10 @@ def kk_parts(
     (0, 0)), using trapezoid quadrature on a uniform grid with a symmetric
     excision around the probe (evaluated by the odd-part quadrature of the
     principal value) plus an analytic power-law tail Re Z_s ~ C w^(1-1/q)
-    fitted over the last decade of the grid.  Without the tail the truncation
-    error decays only like f_max^(-1/q); with it, doubling f_max roughly
-    halves the residual.
+    fitted over the last decade of the grid, integrated over three decades
+    beyond it and to leading order in 1/w after that.  Without the tail the
+    truncation error decays only like f_max^(-1/q); with it, doubling f_max
+    roughly halves the residual.
 
     The relation is scale invariant, so everything is computed in reduced
     units.  A uniform grid of frequencies in GHz may be supplied; otherwise
@@ -330,7 +324,7 @@ def kk_parts(
     alpha = 1.0 - 1.0 / q
     last_decade = nu_grid >= nu_grid[-1] / 10.0
     c_fit = float(np.mean(r_grid[last_decade] * nu_grid[last_decade] ** (-alpha)))
-    nu_far = np.geomspace(nu_grid[-1], nu_grid[-1] * 10.0**tail_decades, 400)
+    nu_far = np.geomspace(nu_grid[-1], nu_grid[-1] * 10.0**_TAIL_DECADES, 400)
     tail = float(np.trapezoid(c_fit * nu_far**alpha / (nu_far**2 - nu_probe**2), nu_far))
     # Remainder beyond the far cutoff, to leading order in 1/nu.
     tail += c_fit * nu_far[-1] ** (alpha - 1.0) / (1.0 - alpha)
@@ -341,6 +335,13 @@ def kk_parts(
     return lhs, rhs
 
 
+def _relative_residual(lhs: float, rhs: float) -> float:
+    """|lhs - rhs| / |rhs|; 0 if both sides vanish, +inf if only rhs does."""
+    if rhs == 0.0:
+        return 0.0 if lhs == 0.0 else math.inf
+    return abs(lhs - rhs) / abs(rhs)
+
+
 def kk_residual(
     material: Material,
     probe_frequency_ghz: float,
@@ -348,24 +349,15 @@ def kk_residual(
     *,
     f_max_ghz: float | None = None,
     n_grid: int = 4001,
-    tail_decades: float = 3.0,
 ) -> float:
     """Relative residual |lhs - rhs| / |rhs| of the relation in :func:`kk_parts`.
 
     Returns 0 for a lossless material (both sides identically zero) and +inf
     if only the direct side vanishes.
     """
-    lhs, rhs = kk_parts(
-        material,
-        probe_frequency_ghz,
-        grid,
-        f_max_ghz=f_max_ghz,
-        n_grid=n_grid,
-        tail_decades=tail_decades,
+    return _relative_residual(
+        *kk_parts(material, probe_frequency_ghz, grid, f_max_ghz=f_max_ghz, n_grid=n_grid)
     )
-    if rhs == 0.0:
-        return 0.0 if lhs == 0.0 else math.inf
-    return abs(lhs - rhs) / abs(rhs)
 
 
 def calibrate_prefactor(
@@ -391,5 +383,5 @@ def calibrate_prefactor(
         raise DomainError("calibration target frequency must sit below the gap")
     eps_target = 1.0 / (1.0 - red_shift) ** 2
     probe = replace(material, impedance_prefactor=1.0)
-    slope = epsilon(probe, g_geom, ell_m, f_target).value.real - 1.0
+    slope = epsilon(probe, g_geom, ell_m, f_target).real - 1.0
     return replace(material, impedance_prefactor=(eps_target - 1.0) / slope)

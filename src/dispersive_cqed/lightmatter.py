@@ -116,9 +116,10 @@ class LambShiftReport:
         Computed on demand: raises DomainError if a model's total vanishes,
         as below_bandgap does when every mode lies above the gap.
         """
-        return {model: self._convergence_curve(model) for model in _MODELS}
+        return {model: self.convergence_curve(model) for model in _MODELS}
 
-    def _convergence_curve(self, model: str) -> np.ndarray:
+    def convergence_curve(self, model: str) -> np.ndarray:
+        """Normalized convergence curve of one model; see :meth:`convergence_curves`."""
         if model == "dispersion":
             return self.normalized_curve
         terms = self.comparator_terms
@@ -171,7 +172,7 @@ def coupling_strength(
             f"mode at {nu_ghz} GHz is above the gap ({material.gap_frequency} GHz); "
             "use spectral_density for the continuum response"
         )
-    eps = epsilon(material, geometry.g_geom, geometry.ell_m, nu_ghz).value
+    eps = epsilon(material, geometry.g_geom, geometry.ell_m, nu_ghz)
     psi = _dimensionless_amplitude(mode, geometry, qubit.x_q)
     value = qubit.dipole_prefactor * math.sqrt(nu_ghz) * np.sqrt(complex(eps)) * psi
     return value.real if value.imag == 0.0 else complex(value)
@@ -199,7 +200,7 @@ def spectral_density(
             f"spectral density is defined above the gap ({material.gap_frequency} GHz); "
             f"got {omega_ghz} GHz"
         )
-    eps = epsilon(material, geometry.g_geom, geometry.ell_m, omega_ghz).value
+    eps = epsilon(material, geometry.g_geom, geometry.ell_m, omega_ghz)
     green = greens_function(qubit.x_q, qubit.x_q, omega_ghz, modes, material, geometry)
     # Dimensionless mode amplitudes and an omega^2 in (rad/s)^2 cancel the
     # SI units of the Green's function.
@@ -227,7 +228,7 @@ def lamb_shift_term_branches(
 def _pole_constants(mode: Mode, material: Material, geometry: ResonatorGeometry):
     """The qubit-independent half of T_n: (omega_p, b, conj(omega_p), conj(b))."""
     omega_p = complex(mode.omega_n.nu, mode.omega_n.kappa)
-    eps = epsilon(material, geometry.g_geom, geometry.ell_m, omega_p).value
+    eps = epsilon(material, geometry.g_geom, geometry.ell_m, omega_p)
     b = -1j * abs(eps) ** 2 - eps.real * eps.imag
     return omega_p, b, omega_p.conjugate(), b.conjugate()
 

@@ -32,7 +32,7 @@ from .elliptic import (
     ContourSegment,
     _complete_ke,
     _complete_pair,
-    _incomplete_fe,
+    _incomplete,
     contour_quadrature,
     endpoint_regularized,
 )
@@ -81,18 +81,25 @@ class EllipticModuli:
     k1: complex
 
 
-def moduli(freq: ComplexFreq, gap_window: float = 1e-6) -> EllipticModuli:
+# Distance from the pair-breaking edge (nu = 2, kappa = 0), in both nu and
+# kappa, inside which the closed form raises GapSingularity.
+_GAP_WINDOW = 1e-6
+
+
+def _check_gap_edge(nu: float, kap: float) -> None:
+    if abs(nu - 2.0) < _GAP_WINDOW and kap < _GAP_WINDOW:
+        raise GapSingularity(f"frequency {nu} + {kap}i within {_GAP_WINDOW} of the gap edge")
+
+
+def moduli(freq: ComplexFreq) -> EllipticModuli:
     """Elliptic moduli for the closed-form conductivity at ``freq``.
 
-    Raises :class:`GapSingularity` when the frequency sits within
-    ``gap_window`` of the pair-breaking edge with negligible imaginary part;
-    the moduli degenerate there (k -> 0, k1 -> inf).
+    Raises :class:`GapSingularity` when the frequency sits within 1e-6 of
+    the pair-breaking edge with negligible imaginary part; the moduli
+    degenerate there (k -> 0, k1 -> inf).
     """
     nu, kap = freq.nu, freq.kappa
-    if abs(nu - 2.0) < gap_window and kap < gap_window:
-        raise GapSingularity(
-            f"frequency {nu} + {kap}i within {gap_window} of the gap edge"
-        )
+    _check_gap_edge(nu, kap)
     w = nu - 1j * kap
     wb = nu + 1j * kap
     k = (w - 2.0) / (w + 2.0)
@@ -208,7 +215,7 @@ def sigma_oracle(
 # ---------------------------------------------------------------------------
 
 
-def sigma_tilde(freq: ComplexFreq, gap_window: float = 1e-6) -> complex:
+def sigma_tilde(freq: ComplexFreq) -> complex:
     """Closed-form conductivity ``sigma1 - i*sigma2`` at complex frequency.
 
     Above the gap the kernel reduces to
@@ -229,23 +236,20 @@ def sigma_tilde(freq: ComplexFreq, gap_window: float = 1e-6) -> complex:
     """
     nu, kap = freq.nu, freq.kappa
     if nu <= 2.0:
-        if abs(nu - 2.0) < gap_window and kap < gap_window:
-            raise GapSingularity(
-                f"frequency {nu} + {kap}i within {gap_window} of the gap edge"
-            )
+        _check_gap_edge(nu, kap)
         if kap == 0.0:
             return sigma_real_axis(nu)
         return -1j * _sigma2_continued(nu - 1j * kap)
     if kap == 0.0:
         return sigma_real_axis(nu)
-    m = moduli(freq, gap_window=gap_window)
+    m = moduli(freq)
     w = nu - 1j * kap
     k, kp = m.k, m.k_prime
     k1k = m.k1 * m.k  # unit modulus: conj(w+2)/(w+2)
     z2 = np.sqrt(1.0 - k1k * k1k) / kp
     K, E = _complete_ke(k)
     Kp, Ep = _complete_ke(kp)
-    f_z2, e_z2 = _incomplete_fe(z2, kp)
+    f_z2, e_z2 = _incomplete(z2, kp, "auto", True, True)
     f_z2 = -f_z2  # Legendre-form incomplete first kind
     return complex(
         (1.0 + 2.0 / w) * E

@@ -16,7 +16,7 @@ frequency is the fixed point of
 
 whose right-hand side is assembled in one place, ``_omega_n_sq``, for the
 fixed point, the Green's function and the Green's-identity residual.  It is
-solved by under-relaxed Picard iteration with a secant fallback.  Each step
+solved by Picard iteration under-relaxed with weight 1/2.  Each step
 evaluates the right-hand side (one surface-impedance call) once, and that
 value serves both the convergence residual and the Picard target.  With the
 e^{+i omega t} Fourier convention a decaying mode has omega = nu + i kappa,
@@ -51,11 +51,10 @@ from .mattis_bardeen import ComplexFreq
 
 @dataclass(frozen=True)
 class QubitLoad:
-    """One capacitive load: position (m), series capacitance (F), charge ratio."""
+    """One capacitive load: position (m) and series capacitance (F)."""
 
     position: float
     c_series: float
-    gamma: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -318,24 +317,21 @@ class FixedPointOptions:
     """Settings of :func:`fixed_point_eigenfrequency`, checked on construction.
 
     tol: relative residual to reach (finite, > 0); max_iter: iteration budget
-    (>= 1); relaxation: Picard under-relaxation weight in (0, 1];
-    epsilon_gap: relative offset of the gap-edge restart seed, in (0, 1).
+    (>= 1).
     """
 
     tol: float = 1e-10
     max_iter: int = 200
-    relaxation: float = 0.5
-    epsilon_gap: float = 1e-3
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise DomainError(f"tol must be finite and positive, got {self.tol}")
         if not self.max_iter >= 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not 0.0 < self.relaxation <= 1.0:
-            raise DomainError(f"relaxation must lie in (0, 1], got {self.relaxation}")
-        if not 0.0 < self.epsilon_gap < 1.0:
-            raise DomainError(f"epsilon_gap must lie in (0, 1), got {self.epsilon_gap}")
+
+
+# Relative offset from the gap edge of the seed a gap-edge restart starts from.
+_GAP_RESTART_OFFSET = 1e-3
 
 
 def _omega_n_sq(k, omega, z_s, geometry: ResonatorGeometry):
@@ -368,9 +364,10 @@ def fixed_point_eigenfrequency(
 ) -> ComplexFreq:
     """Complex eigenfrequency (GHz) solving omega^2 = rhs(omega) for one mode.
 
-    Under-relaxed Picard iteration on omega <- sqrt(rhs(omega)) (principal
-    branch, Re > 0), falling back to secant iteration on the residual if the
-    Picard updates stall.  Each iteration makes one rhs evaluation (one
+    Picard iteration omega <- omega/2 + sqrt(rhs(omega))/2 (principal branch,
+    Re > 0).  rhs varies slowly with omega, so the map's derivative
+    (1 + d sqrt(rhs)/d omega)/2 is close to 1/2 and each step about halves
+    the residual.  Each iteration makes one rhs evaluation (one
     ``surface_impedance`` call), shared by the residual omega^2 - rhs and the
     Picard target, so a solve without a gap restart costs as many impedance
     calls as its residual history has entries.  Below-gap solutions stay
@@ -396,11 +393,9 @@ def fixed_point_eigenfrequency(
         return w.real > gap_rad
 
     side0 = _side(omega)
-    prev: tuple[complex, complex] | None = None
-    for it in range(options.max_iter):
+    for _ in range(options.max_iter):
         rhs = _dispersion_rhs(omega, k_n, material, geometry)
-        f = omega * omega - rhs
-        rel = abs(f) / max(abs(omega) ** 2, 1e-300)
+        rel = abs(omega * omega - rhs) / max(abs(omega) ** 2, 1e-300)
         residuals.append(rel)
         if rel <= options.tol:
             nu_ghz = omega.real / _TWO_PI_GHZ
@@ -408,25 +403,10 @@ def fixed_point_eigenfrequency(
             if abs(kap_ghz) < 1e-14 * max(1.0, abs(nu_ghz)):
                 kap_ghz = 0.0
             return ComplexFreq(nu_ghz, kap_ghz)
-        stalled = (
-            len(residuals) >= 8
-            and residuals[-1] > 0.5 * residuals[-8]
-            and prev is not None
-        )
-        if stalled:
-            w0, f0 = prev
-            denom = f - f0
-            if denom != 0.0:
-                omega_new = omega - f * (omega - w0) / denom
-            else:
-                omega_new = omega
-        else:
-            target = np.sqrt(complex(rhs))
-            if target.real < 0.0:
-                target = -target
-            lam = options.relaxation
-            omega_new = (1.0 - lam) * omega + lam * target
-        prev = (omega, f)
+        target = np.sqrt(complex(rhs))
+        if target.real < 0.0:
+            target = -target
+        omega_new = 0.5 * omega + 0.5 * target
         if _side(omega_new) != side0:
             if restarted:
                 raise NoConvergence(
@@ -441,10 +421,9 @@ def fixed_point_eigenfrequency(
             restarted = True
             side0 = not side0
             if side0:
-                omega_new = complex(gap_rad * (1.0 + options.epsilon_gap), max(omega_new.imag, 0.0))
+                omega_new = complex(gap_rad * (1.0 + _GAP_RESTART_OFFSET), max(omega_new.imag, 0.0))
             else:
-                omega_new = complex(gap_rad * (1.0 - options.epsilon_gap))
-            prev = None
+                omega_new = complex(gap_rad * (1.0 - _GAP_RESTART_OFFSET))
             residuals.clear()
         omega = omega_new
     raise NoConvergence(

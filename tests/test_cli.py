@@ -201,6 +201,20 @@ class TestConfigErrors:
         cfg["solver"][key] = value
         self.check(tmp_path, capsys, cfg, ["modes"], key)
 
+    @pytest.mark.parametrize("key, value", [("relaxation", 0.5), ("epsilon_gap", 1e-3)])
+    def test_removed_solver_keys_are_unknown(self, tmp_path, capsys, key, value):
+        # The fixed point has one method and a fixed restart offset; a config
+        # that still sets either former knob fails like any unknown key.
+        cfg = base_config(n_max=4)
+        cfg["solver"][key] = value
+        out = tmp_path / "never.csv"
+        rc = run_cli(["modes", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"config error: unknown key(s) in solver: {key}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestConductivity:
     def test_real_axis_rows_match_closed_form(self, tmp_path, capsys):

@@ -13,7 +13,7 @@ from dispersive_cqed.elliptic import (
     ContourSegment,
     _carlson,
     _complete_ke,
-    _incomplete_fe,
+    _incomplete,
     carlson_rd,
     carlson_rf,
     complete_k_agm,
@@ -257,9 +257,11 @@ class TestSharedPairs:
                     want = (ellip_incomplete_f(z, k), ellip_incomplete_e(z, k))
                 except DispersiveCqedError as exc:
                     with pytest.raises(type(exc)):
-                        _incomplete_fe(z, k)
+                        _incomplete(z, k, "auto", True, True)
                     continue
-                assert _incomplete_fe(z, k) == want
+                assert _incomplete(z, k, "auto", True, True) == want
+                assert _incomplete(z, k, "auto", True, False) == (want[0], None)
+                assert _incomplete(z, k, "auto", False, True) == (None, want[1])
 
     @given(st.tuples(*[st.builds(complex, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))] * 3))
     @settings(max_examples=200, deadline=None)
@@ -567,9 +569,36 @@ class TestBranchRule:
 
         for fn in (ellip_incomplete_f, ellip_incomplete_e):
             assert outcome(fn, z, k) == outcome(fn, z, k, method="quadrature")
-        assert outcome(_incomplete_fe, z, k) == outcome(
+        assert outcome(_incomplete, z, k, "auto", True, True) == outcome(
             lambda: (ellip_incomplete_f(z, k), ellip_incomplete_e(z, k))
         )
+
+    @pytest.mark.parametrize("z, k", [(0.6 + 0.2j, 0.5), (0.5, 0.3), (0.4 - 0.3j, 0.0)])
+    def test_one_kind_asked_evaluates_only_that_kind(self, monkeypatch, z, k):
+        # A first-kind call runs no R_D and no second-kind quadrature, on the
+        # Carlson path and on the quadrature fallback (Im z^2 = 0 at z = 0.5).
+        import dispersive_cqed.elliptic as elliptic_module
+
+        rd_asked = []
+        original = elliptic_module._carlson
+
+        def recorded(x, y, z_, rf, rd):
+            rd_asked.append(rd)
+            return original(x, y, z_, rf, rd)
+
+        def refused(k):
+            raise AssertionError("second-kind integrand built for a first-kind call")
+
+        want = ellip_incomplete_f(z, k)
+        monkeypatch.setattr(elliptic_module, "_carlson", recorded)
+        monkeypatch.setattr(elliptic_module, "_defining_e_integrand", refused)
+        assert ellip_incomplete_f(z, k) == want
+        assert not any(rd_asked)
+
+    def test_carlson_method_is_gone(self):
+        for fn in (ellip_incomplete_f, ellip_incomplete_e):
+            with pytest.raises(DomainError, match="unknown method"):
+                fn(0.6 + 0.2j, 0.5, method="carlson")
 
     def test_sigma_tilde_makes_no_quadrature_call(self, monkeypatch):
         # Above the gap at kappa > 0 every incomplete integral is decided by

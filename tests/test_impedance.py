@@ -127,24 +127,29 @@ class TestSurfaceImpedance:
 class TestEpsilon:
     def test_zero_impedance_is_unity(self):
         eps = epsilon(aluminum(0.0), 3.0e6, ELL_M, 6.0)
-        assert eps.value == 1.0 + 0.0j
+        assert eps == 1.0 + 0.0j
+
+    @pytest.mark.parametrize("prefactor, f_ghz", [(0.0, 6.0), (CALIBRATED_A, 5.88),
+                                                  (CALIBRATED_A, 174.0)])
+    def test_returns_a_complex_number(self, prefactor, f_ghz):
+        assert type(epsilon(aluminum(prefactor), 3.0e6, ELL_M, f_ghz)) is complex
 
     def test_below_gap_real_and_slowing(self):
         eps = epsilon(aluminum(CALIBRATED_A), 3.0e6, ELL_M, 5.88)
-        assert eps.value.imag == 0.0
-        assert eps.value.real == pytest.approx(1.0412328196585, rel=1e-12)
+        assert eps.imag == 0.0
+        assert eps.real == pytest.approx(1.0412328196585, rel=1e-12)
 
     def test_above_gap_lossy_sign(self):
         eps = epsilon(aluminum(CALIBRATED_A), 3.0e6, ELL_M, 174.0)
-        assert eps.value.imag < 0.0
-        assert eps.value == pytest.approx(1.0389698153663 - 0.0176714542562j, rel=1e-11)
+        assert eps.imag < 0.0
+        assert eps == pytest.approx(1.0389698153663 - 0.0176714542562j, rel=1e-11)
 
     def test_matches_manual_composition(self):
         g = 3.0e6
         z = surface_impedance(aluminum(CALIBRATED_A), 174.0)
         omega = 2.0 * np.pi * 1e9 * 174.0
         manual = 1.0 + g * z / (1j * omega * ELL_M)
-        assert epsilon(aluminum(CALIBRATED_A), g, ELL_M, 174.0).value == pytest.approx(
+        assert epsilon(aluminum(CALIBRATED_A), g, ELL_M, 174.0) == pytest.approx(
             manual, rel=1e-13
         )
 
@@ -230,7 +235,7 @@ class TestCalibration:
         assert cal.impedance_prefactor == pytest.approx(CALIBRATED_A, rel=1e-12)
         # Scalar dispersion f = f0 / sqrt(eps(f)) holds at the shifted target.
         eps = epsilon(cal, 3.0e6, ELL_M, 0.98 * 6.0)
-        assert eps.value.real == pytest.approx(1.0 / 0.98**2, rel=1e-12)
+        assert eps.real == pytest.approx(1.0 / 0.98**2, rel=1e-12)
 
     def test_independent_of_starting_prefactor(self):
         a = calibrate_prefactor(aluminum(1.0), 3.0e6, ELL_M, 6.0, 0.02)
