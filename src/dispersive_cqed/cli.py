@@ -11,8 +11,10 @@ Every subcommand reads one structured config file (YAML) with sections
 
 Frequencies at this boundary are ordinary frequencies in GHz; reduced units
 appear only in conductivity tables (labelled nu/kappa).  Unknown keys are
-rejected.  Exit codes: 0 success, 2 config error (nothing written), 3
-numerical failure (partial table written, with a status column appended).
+rejected.  Exit codes: 0 success, 2 config error (nothing written) or
+output that cannot be written, 3 numerical failure (partial table written,
+with a status column appended).  Missing parent directories of the output
+path are created.
 
 Output is deterministic: identical config and flags produce byte-identical
 files (fixed float formatting, LF line endings, no timestamps).
@@ -345,6 +347,8 @@ def _sibling_path(path: str, tag: str) -> str:
 
 
 def _write_tables(tables: list[Table], run: RunConfig) -> None:
+    if run.out_path:
+        Path(run.out_path).parent.mkdir(parents=True, exist_ok=True)
     if run.out_format == "json":
         text = _render_json(tables, run.precision)
         if run.out_path:
@@ -637,7 +641,11 @@ def main(argv=None) -> int:
     except DispersiveCqedError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
-    _write_tables(tables, run)
+    try:
+        _write_tables(tables, run)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
     if any(t.failed() for t in tables):
         print("numerical failure: see status column", file=sys.stderr)
         return _EXIT_NUMERICAL

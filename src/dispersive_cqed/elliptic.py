@@ -21,7 +21,8 @@ Provides the numerical core used by the conductivity closed forms:
 
 All square roots are principal-branch and evaluated pointwise: `numpy.sqrt`
 on complex arrays in the integrands, `cmath.sqrt` on scalars in the Carlson
-duplication steps.  Both follow C99 csqrt, including the side of the cut
+duplication steps (and, on float64 arrays, `_sqrt_as_cmath`, rounded as
+`cmath.sqrt` rounds).  Both follow C99 csqrt, including the side of the cut
 selected by the sign of a zero imaginary part; this fixes the meaning of
 every integrand below.
 """
@@ -207,6 +208,7 @@ def endpoint_regularized(
 # ---------------------------------------------------------------------------
 
 _CARLSON_MAX_ITER = 120
+_DBL_MIN = float(np.finfo(np.float64).tiny)  # smallest normal float64
 # Carlson's stopping factors for a relative error of 1e-16: a loop stops once
 # |A_m| >= q_m, where q_0 is the factor times the largest |A_0 - x_0| and
 # each duplication step divides q_m by 4.
@@ -354,7 +356,7 @@ def _duplicate_arrays(x, y, z, rf: bool, rd: bool):
         active_d = ~(qd <= np.abs(ad))
         if not (active_f.any() or active_d.any()):
             break
-        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        sx, sy, sz = _sqrt_as_cmath(x), _sqrt_as_cmath(y), _sqrt_as_cmath(z)
         lam = sx * sy + sy * sz + sz * sx
         if rd:
             acc = np.where(active_d, acc + fac / (sz * (z + lam)), acc)
@@ -366,7 +368,22 @@ def _duplicate_arrays(x, y, z, rf: bool, rd: bool):
         if rd:
             dx, dy = np.where(active_d, x, dx), np.where(active_d, y, dy)
             ad, qd = np.where(active_d, 0.25 * (ad + lam), ad), np.where(active_d, qd * 0.25, qd)
-    return _tails(np.sqrt, (fx, fy, af) if rf else None, (dx, dy, ad) if rd else None, fac, acc)
+    f, d = (fx, fy, af) if rf else None, (dx, dy, ad) if rd else None
+    return _tails(_sqrt_as_cmath, f, d, fac, acc)
+
+
+def _sqrt_as_cmath(x):
+    """``np.sqrt`` of a float64 array x >= 0, rounded as ``cmath.sqrt(complex(x)).real``.
+
+    ``cmath.sqrt`` divides by 8 before the root on [DBL_MIN, 8 DBL_MIN), where
+    the quotient is subnormal and loses bits; elsewhere both roots are
+    correctly rounded.
+    """
+    root = np.sqrt(x)
+    if x.min(initial=np.inf) < 8.0 * _DBL_MIN:
+        band = (x >= _DBL_MIN) & (x < 8.0 * _DBL_MIN)
+        root = np.where(band, 2.0 * np.sqrt(2.0 * (x / 8.0)), root)
+    return root
 
 
 def _tails(sqrt, f, d, fac, acc):

@@ -54,6 +54,7 @@ from .modes import (
 
 _RESONANCE_REL_TOL = 1e-6
 _SPECTRUM_MEMO_SIZE = 16  # modal spectra kept for reuse by later reports
+_POSITIONS_PER_SPECTRUM = 8  # qubit positions whose constants each spectrum keeps
 _MODELS = ("dispersion", "below_bandgap", "no_dispersion")
 
 
@@ -233,13 +234,20 @@ def _pole_constants(mode: Mode, material: Material, geometry: ResonatorGeometry)
     return omega_p, b, omega_p.conjugate(), b.conjugate()
 
 
-def _pole_branches(poles, psi, qubit: QubitParams):
-    """Mirror branches (plus, minus) of T_n in MHz, per pole constants and amplitude psi."""
-    omega_q = qubit.omega_q
-    scale = 1j * qubit.dipole_prefactor**2
+def _numerators(poles, psi, dipole_prefactor: float):
+    """Per mode (N+, omega_p, N-, conj(omega_p)): T_n's branches are N+/(W - omega_p)
+    and N-/(W + conj(omega_p)) at qubit frequency W, in MHz.
+
+    ``poles`` are :func:`_pole_constants`, ``psi`` the amplitudes at the qubit
+    (floats).  N+ = (pref omega_p) b with pref = i d^2 psi^2 1e3 (GHz -> MHz),
+    associated as the written formula pref * omega_p * b / (W - omega_p).
+    """
+    scale = 1j * dipole_prefactor**2
+    numerators = []
     for (omega_p, b, omega_pc, bc), amp in zip(poles, psi):
-        pref = scale * amp**2 * 1e3  # GHz -> MHz
-        yield pref * omega_p * b / (omega_q - omega_p), pref * omega_pc * bc / (omega_q + omega_pc)
+        pref = scale * amp**2 * 1e3
+        numerators.append((pref * omega_p * b, omega_p, pref * omega_pc * bc, omega_pc))
+    return tuple(numerators)
 
 
 def _mode_branches(modes, qubit, material, geometry) -> list[tuple[complex, complex]]:
@@ -250,7 +258,10 @@ def _mode_branches(modes, qubit, material, geometry) -> list[tuple[complex, comp
     _check_resonance(qubit.omega_q, _frequencies(modes))
     poles = [_pole_constants(m, material, geometry) for m in modes]
     at_qubit = _mode_matrix(modes, geometry, np.array([qubit.x_q]))[:, 0]
-    return list(_pole_branches(poles, (at_qubit * _amplitude_scale(geometry)).tolist(), qubit))
+    psi = (at_qubit * _amplitude_scale(geometry)).tolist()
+    w = qubit.omega_q
+    return [(n_plus / (w - p), n_minus / (w + pc))
+            for n_plus, p, n_minus, pc in _numerators(poles, psi, qubit.dipole_prefactor)]
 
 
 def _frequencies(modes) -> np.ndarray:
@@ -285,23 +296,31 @@ def cc_comparator_term(
     """
     _check_position(qubit, geometry)
     _check_resonance(qubit.omega_q, _frequencies([mode]))
-    return _comparator(mode.omega_n.nu, _dimensionless_amplitude(mode, geometry, qubit.x_q), qubit)
+    nu = mode.omega_n.nu
+    psi = _dimensionless_amplitude(mode, geometry, qubit.x_q)
+    return _comparator(nu * psi**2, nu, qubit)
 
 
-def _comparator(omega_n, psi, qubit: QubitParams):
-    """Dispersionless terms (MHz) at frequencies omega_n, amplitudes psi (floats or arrays)."""
+def _comparator(weight, omega_n, qubit: QubitParams):
+    """Dispersionless terms (MHz) at frequencies omega_n with weights omega_n psi^2
+    (floats or arrays)."""
     omega_q = qubit.omega_q
-    term = omega_n * psi**2 * (1.0 / (omega_q - omega_n) - 1.0 / (omega_q + omega_n))
+    term = weight * (1.0 / (omega_q - omega_n) - 1.0 / (omega_q + omega_n))
     return qubit.dipole_prefactor**2 * term * 1e3
 
 
 def normalized_convergence(per_mode_terms) -> np.ndarray:
     """Cumulative Re(partial)/Re(total) for any per-mode term sequence."""
-    partial = np.cumsum(np.asarray(per_mode_terms))
-    total = partial[-1].real if np.iscomplexobj(partial) else partial[-1]
+    return _normalized(np.cumsum(np.asarray(per_mode_terms)))
+
+
+def _normalized(partial: np.ndarray) -> np.ndarray:
+    """Re(partial)/Re(total) from the partial sums (real or complex) of a term sequence."""
+    partial = partial.real
+    total = partial[-1]
     if total == 0.0:
         raise DomainError("total shift vanishes; normalized curve undefined")
-    return (partial.real if np.iscomplexobj(partial) else partial) / total
+    return partial / total
 
 
 @dataclass(frozen=True)
@@ -313,6 +332,10 @@ class _ModalSpectrum:
     each, ``nu`` and ``nu_bare`` the dispersive and bare frequencies, and
     ``below_gap`` flags the bare frequencies below the gap.  ``stack``
     holds the spatial data of the modes as ``modes._eval_segments`` takes it.
+
+    ``positions`` is the memo entry's store of :func:`_position_constants`,
+    (x_q, dipole_prefactor) -> constants, least recently used first and at
+    most ``_POSITIONS_PER_SPECTRUM`` long; None for a spectrum not memoised.
     """
 
     lossless: tuple[Mode, ...]
@@ -322,10 +345,12 @@ class _ModalSpectrum:
     nu_bare: np.ndarray
     below_gap: np.ndarray
     stack: tuple[np.ndarray, np.ndarray, np.ndarray]
+    positions: OrderedDict | None = None
 
 
 # (material, geometry, n_max, options) -> _ModalSpectrum, least recently used first.
-# The lock also keeps the warning capture of a solve to one thread at a time.
+# The lock also guards each entry's position store, and keeps the warning
+# capture of a solve to one thread at a time.
 _spectra: OrderedDict = OrderedDict()
 _spectra_lock = threading.Lock()
 
@@ -374,10 +399,40 @@ def _modal_spectrum(
         finally:
             _reissue(caught)
         if not caught:
+            spectrum = replace(spectrum, positions=OrderedDict())
             _spectra[key] = spectrum
             if len(_spectra) > _SPECTRUM_MEMO_SIZE:
                 _spectra.popitem(last=False)
         return spectrum
+
+
+def _position_constants(spectrum: _ModalSpectrum, geometry: ResonatorGeometry,
+                        qubit: QubitParams):
+    """(numerators, comparator weights) of a report at the qubit's position and scale.
+
+    The :func:`_numerators` of every pole and the weights nu_bare psi^2 of the
+    comparator, with psi from one ``_eval_segments`` call.  They do not depend
+    on omega_q, so a memoised spectrum keeps them for its
+    ``_POSITIONS_PER_SPECTRUM`` most recent (x_q, dipole_prefactor).
+    """
+    key = (qubit.x_q, qubit.dipole_prefactor)
+    store = spectrum.positions
+    if store is not None:
+        with _spectra_lock:
+            constants = store.get(key)
+            if constants is not None:
+                store.move_to_end(key)
+                return constants
+    at_qubit = _eval_segments(np.array([qubit.x_q]), *spectrum.stack, geometry)[:, 0]
+    psi = at_qubit * _amplitude_scale(geometry)
+    constants = (_numerators(spectrum.poles, psi.tolist(), qubit.dipole_prefactor),
+                 spectrum.nu_bare * psi**2)
+    if store is not None:
+        with _spectra_lock:
+            store[key] = constants
+            if len(store) > _POSITIONS_PER_SPECTRUM:
+                store.popitem(last=False)
+    return constants
 
 
 def lamb_shift_report(
@@ -397,7 +452,10 @@ def lamb_shift_report(
 
     The modes, their fixed points and eps at each pole do not depend on the
     qubit: they are solved once per (material, geometry, n_max, options) and
-    reused by later reports on the same device.
+    reused by later reports on the same device.  The pole numerators and
+    comparator weights depend on the qubit only through (x_q,
+    dipole_prefactor) and are kept with the spectrum, so a report at a known
+    position pays only for omega_q.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
@@ -405,13 +463,13 @@ def lamb_shift_report(
     spectrum = _modal_spectrum(material, geometry, n_max, options)
     _check_resonance(qubit.omega_q, spectrum.nu)
     _check_resonance(qubit.omega_q, spectrum.nu_bare)
-    at_qubit = _eval_segments(np.array([qubit.x_q]), *spectrum.stack, geometry)[:, 0]
-    psi = at_qubit * _amplitude_scale(geometry)
-    branches = _pole_branches(spectrum.poles, psi.tolist(), qubit)
-    terms = np.array([plus + minus for plus, minus in branches])
-    normalized = normalized_convergence(terms)
+    numerators, cc_weights = _position_constants(spectrum, geometry, qubit)
+    w = qubit.omega_q
+    terms = np.array([n_plus / (w - p) + n_minus / (w + pc)
+                      for n_plus, p, n_minus, pc in numerators])
     partial = np.cumsum(terms)
-    cc_terms = _comparator(spectrum.nu_bare, psi, qubit)
+    normalized = _normalized(partial)
+    cc_terms = _comparator(cc_weights, spectrum.nu_bare, qubit)
     below_gap = spectrum.below_gap.copy()
     return LambShiftReport(
         per_mode_terms=terms,

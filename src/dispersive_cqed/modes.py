@@ -378,6 +378,9 @@ def fixed_point_eigenfrequency(
 
     Warns GapStraddle and restarts from just across the gap if an iterate
     crosses the pair-breaking edge; a second crossing raises NoConvergence.
+    So does an iterate the impedance refuses (DomainError), as where rhs < 0
+    below the gap sends the next one off the real axis; a refused starting
+    point raises the DomainError itself.
     """
     gap_rad = material.gap_frequency * _TWO_PI_GHZ  # reduced nu = 2 in rad/s
     if seed_ghz is None:
@@ -393,8 +396,16 @@ def fixed_point_eigenfrequency(
         return w.real > gap_rad
 
     side0 = _side(omega)
-    for _ in range(options.max_iter):
-        rhs = _dispersion_rhs(omega, k_n, material, geometry)
+    for step in range(options.max_iter):
+        try:
+            rhs = _dispersion_rhs(omega, k_n, material, geometry)
+        except DomainError as exc:
+            if step == 0:  # the starting point, not an iterate of the solver
+                raise
+            raise NoConvergence(
+                f"fixed-point iterate left the domain: {exc}",
+                residual_history=residuals,
+            ) from exc
         rel = abs(omega * omega - rhs) / max(abs(omega) ** 2, 1e-300)
         residuals.append(rel)
         if rel <= options.tol:

@@ -11,7 +11,8 @@ pin values to the bit, as ``float.hex``:
 
 * ``reports.json``: ``lamb_shift_report`` per-mode terms, comparator terms
   and totals on four devices (``REPORT_CASES``), each at two qubit
-  frequencies; a memo miss and a memo hit must both reproduce them.
+  frequencies; a memo miss and a memo hit must both reproduce them, and so
+  must a hit at the other frequency, which reuses the position constants.
 * ``carlson_pairs.json``: R_F and R_D on argument triples that cover the
   complete integrals with a vanishing complement, the ``sigma_tilde``
   arguments of every bundled config, signed zeros on the negative axis and
@@ -168,15 +169,25 @@ def report_key(case_id: str, omega_q: float) -> str:
     return f"{case_id}@{omega_q!r}"
 
 
+def other_omega(omega_q: float) -> float:
+    """The golden qubit frequency that is not ``omega_q``."""
+    (other,) = (w for w in REPORT_OMEGAS_GHZ if w != omega_q)
+    return other
+
+
 def _generate_reports() -> None:
     records = {}
     for case_id in REPORT_CASES:
         for omega_q in REPORT_OMEGAS_GHZ:
             lightmatter._spectra.clear()
+            records[report_key(case_id, omega_q)] = report_record(case_id, omega_q)
+    for case_id in REPORT_CASES:
+        for omega_q in REPORT_OMEGAS_GHZ:
+            lightmatter._spectra.clear()
             miss = report_record(case_id, omega_q)
-            hit = report_record(case_id, omega_q)
-            assert miss == hit, case_id
-            records[report_key(case_id, omega_q)] = miss
+            assert miss == report_record(case_id, omega_q), case_id  # memo hit
+            other = other_omega(omega_q)  # a hit at a known position
+            assert report_record(case_id, other) == records[report_key(case_id, other)], case_id
     REPORT_FILE.write_text(json.dumps(records, indent=1) + "\n", newline="\n")
 
 

@@ -441,6 +441,48 @@ class TestLambShift:
         assert "total shift vanishes" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("side", [0.99, 1.01])
+    def test_solver_leaving_the_domain_is_a_numerical_failure(self, tmp_path, capsys, side):
+        # A valid device on which mode 1's fixed point fails: 10x the
+        # calibrated prefactor with the gap next to mode 1's bare frequency.
+        cfg = base_config(n_max=3)
+        cfg["material"] = {
+            "gap_frequency": side * NU1_LOSSLESS,
+            "limit_regime": "extreme_anomalous",
+            "impedance_prefactor": 10.0 * CALIBRATED_A,
+        }
+        out = tmp_path / "shift.csv"
+        rc = run_cli(["lamb-shift", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+        _, columns, rows = parse_csv(out.read_text())
+        assert columns[-1] == "status"
+        assert rows == [["0", "nan", "nan", "NoConvergence"]]
+
+
+class TestOutputPath:
+    def test_missing_parent_directories_are_created(self, tmp_path):
+        path = write_config(tmp_path, base_config(n_max=4))
+        out = tmp_path / "no" / "such" / "dir" / "shift.csv"
+        assert run_cli(["lamb-shift", "--config", path, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.parent.iterdir()) == [
+            "shift.convergence.csv", "shift.csv", "shift.totals.csv"]
+
+    def test_unwritable_output_is_one_line_and_exit_2(self, tmp_path):
+        # The output path names an existing directory: the write raises
+        # IsADirectoryError, reported without a traceback.
+        path = write_config(tmp_path, base_config(n_max=4))
+        out = tmp_path / "taken"
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "dispersive_cqed.cli", "modes", "--config", path,
+             "--out", str(out)],
+            capture_output=True, text=True, env=child_env(), timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("cannot write output: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
 
 class TestSpectralDensity:
     def test_zero_impedance_gives_zero_rows(self, tmp_path, capsys):

@@ -3,8 +3,8 @@
 The cases and the generator live in ``tests/golden/make_golden.py``.  A
 refactor must leave every file identical; an intended change of a printed
 number regenerates the files and records the moved digits in CHANGES.md.
-The in-process Lamb-shift reports are compared to the bit, on a memo miss
-and on a memo hit.
+The in-process Lamb-shift reports are compared to the bit, on a memo miss,
+on a memo hit and on a hit at the other qubit frequency.
 """
 
 import difflib
@@ -67,3 +67,6 @@ def test_report_matches_golden_to_the_bit(case_id, omega_q, monkeypatch):
     assert make_golden.report_record(case_id, omega_q) == want  # memo miss
     assert len(memo) == 1
     assert make_golden.report_record(case_id, omega_q) == want  # memo hit
+    other = make_golden.other_omega(omega_q)  # a hit that reuses the position constants
+    assert make_golden.report_record(case_id, other) == REPORTS[
+        make_golden.report_key(case_id, other)]

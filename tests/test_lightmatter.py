@@ -1,9 +1,11 @@
 """Couplings, spectral density, Lamb-shift terms, report assembly."""
 
+import gc
 import math
 import sys
 import threading
 import warnings
+import weakref
 from collections import OrderedDict
 from dataclasses import astuple, replace
 
@@ -656,21 +658,25 @@ class TestSpectrumMemo:
         # Four threads cycle through more devices than the memo holds, so
         # hits, stores, evictions and the warning capture of solves interleave;
         # overlapping captures would leave the process's warning state altered.
+        # Each thread puts its qubit elsewhere, so the position stores of the
+        # shared spectra are filled and read from all four.
         geo, material = make_geometry(), aluminum(0.0)
         sizes = range(1, lightmatter._SPECTRUM_MEMO_SIZE + 9)
-        expected = {n: lamb_shift_report(QubitParams(5.0, 0.0), material, geo, n).totals
-                    for n in sizes}
+        positions = [k * geo.length / 3 for k in range(4)]
+        expected = {(n, x): lamb_shift_report(QubitParams(5.0, x), material, geo, n).totals
+                    for n in sizes for x in positions}
         memo.clear()
         failures = []
         filters, showwarning = list(warnings.filters), warnings.showwarning
 
         def worker(offset):
+            x_q = positions[offset]
             try:
                 for i in range(60):
                     n = sizes[(7 * i + offset) % len(sizes)]
-                    got = lamb_shift_report(QubitParams(5.0, 0.0), material, geo, n).totals
-                    if got != expected[n]:
-                        failures.append((n, got))
+                    got = lamb_shift_report(QubitParams(5.0, x_q), material, geo, n).totals
+                    if got != expected[n, x_q]:
+                        failures.append((n, x_q, got))
             except Exception as exc:  # reported below, in the test thread
                 failures.append(exc)
 
@@ -687,7 +693,79 @@ class TestSpectrumMemo:
         assert not any(t.is_alive() for t in threads)
         assert failures == []
         assert len(memo) <= lightmatter._SPECTRUM_MEMO_SIZE
+        assert all(len(s.positions) <= lightmatter._POSITIONS_PER_SPECTRUM
+                   for s in memo.values())
         assert warnings.filters == filters and warnings.showwarning is showwarning
+
+    @staticmethod
+    def _cold_reports(memo, qubits, material, geometry, n_max):
+        """Each qubit's report from an empty memo."""
+        cold = {}
+        for qubit in qubits:
+            memo.clear()
+            cold[qubit] = lamb_shift_report(qubit, material, geometry, n_max)
+        memo.clear()
+        return cold
+
+    @pytest.mark.parametrize("device", ["one_load", "three_load"])
+    def test_scans_at_known_positions_equal_cold_reports(self, memo, device):
+        # x_q at the line's start, inside a segment, exactly on a load and at
+        # its end, each at two dipole scales: 8 positions, the store's bound.
+        if device == "one_load":
+            material, geo = aluminum(CALIBRATED_A), make_geometry(x_q=0.0045)
+        else:
+            material, geo, _ = TestReportAssembly.DEVICES["three_load"]
+        load = geo.qubits[-1].position
+        segment_start = geo.qubits[-2].position if len(geo.qubits) > 1 else 0.0
+        positions = (0.0, 0.5 * (segment_start + load), load, geo.length)
+        qubits = [QubitParams(omega_q, x_q, dipole_prefactor=d)
+                  for x_q in positions for d in (1.0, 1.7) for omega_q in (4.1, 4.65, 5.3)]
+        cold = self._cold_reports(memo, qubits, material, geo, self.N)
+        for qubit in qubits:
+            _assert_identical_reports(lamb_shift_report(qubit, material, geo, self.N),
+                                      cold[qubit])
+        (spectrum,) = memo.values()
+        assert list(spectrum.positions) == list(dict.fromkeys(
+            (q.x_q, q.dipole_prefactor) for q in qubits))
+
+    def test_interleaved_positions_evict_and_still_equal_cold_reports(self, memo):
+        geo, al = make_geometry(), aluminum(CALIBRATED_A)
+        bound = lightmatter._POSITIONS_PER_SPECTRUM
+        xs = np.linspace(0.0, geo.length, bound + 3).tolist()
+        # Two passes over more positions than the store holds: each position
+        # is evicted before it comes back.
+        qubits = [QubitParams(omega_q, x_q) for omega_q in (4.3, 5.1) for x_q in xs]
+        cold = self._cold_reports(memo, qubits, al, geo, self.N)
+        for qubit in qubits:
+            _assert_identical_reports(lamb_shift_report(qubit, al, geo, self.N), cold[qubit])
+            (spectrum,) = memo.values()
+            assert len(spectrum.positions) <= bound
+        assert list(spectrum.positions) == [(x_q, 1.0) for x_q in xs[-bound:]]
+
+    def test_position_store_is_bounded_and_evicted_with_its_spectrum(self, memo):
+        geo, material = make_geometry(), aluminum(0.0)
+        bound = lightmatter._POSITIONS_PER_SPECTRUM
+        for i in range(bound + 4):
+            lamb_shift_report(QubitParams(5.0, i * geo.length / 20), material, geo, 3)
+            (spectrum,) = memo.values()
+            assert len(spectrum.positions) == min(i + 1, bound)
+        store = weakref.ref(spectrum.positions)
+        del spectrum
+        for n_max in range(4, 4 + lightmatter._SPECTRUM_MEMO_SIZE):
+            lamb_shift_report(QubitParams(5.0, 0.0), material, geo, n_max)
+        assert all(key[2] != 3 for key in memo)
+        gc.collect()
+        assert store() is None
+
+    def test_terms_of_a_hit_equal_lamb_shift_terms(self, memo):
+        geo, al = make_geometry(), aluminum(CALIBRATED_A)
+        lamb_shift_report(QubitParams(5.0, 0.3 * geo.length, 1.7), al, geo, self.N)
+        qubit = QubitParams(4.4, 0.3 * geo.length, 1.7)  # a hit at a known position
+        report = lamb_shift_report(qubit, al, geo, self.N)
+        assert list(lamb_shift_terms(report.modes, qubit, al, geo)) == list(
+            report.per_mode_terms)
+        pairs = [lamb_shift_term_branches(m, qubit, al, geo) for m in report.modes]
+        assert [plus + minus for plus, minus in pairs] == list(report.per_mode_terms)
 
 
 class TestMirrorSymmetry:

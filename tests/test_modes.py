@@ -391,6 +391,29 @@ class TestNearGap:
         assert solved > 0
         assert straddles > 0
 
+    @pytest.mark.parametrize("side", [0.99, 1.01])
+    def test_iterate_refused_by_the_impedance_is_no_convergence(self, side):
+        # At 10x the calibrated prefactor rhs < 0 at mode 1's bare frequency,
+        # so the Picard target is imaginary and the next iterate lies off the
+        # real axis below the gap, where the surface impedance is undefined.
+        run = load_run_config(bundled_geometry_configs()[0])
+        geo, base = run.geometry, run.material
+        k = secular_roots(geo, 1)[0]
+        material = replace(base, impedance_prefactor=10.0 * base.impedance_prefactor,
+                           gap_frequency=side * geo.bare_frequency_ghz(k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GapStraddle)
+            with pytest.raises(NoConvergence, match="left the domain") as info:
+                fixed_point_eigenfrequency(k, material, geo)
+        assert info.value.residual_history
+        assert isinstance(info.value.__cause__, DomainError)
+
+    def test_seed_refused_by_the_impedance_is_a_domain_error(self):
+        geo = make_geometry()
+        k = secular_roots(geo, 1)[0]
+        with pytest.raises(DomainError, match="real frequencies only"):
+            fixed_point_eigenfrequency(k, aluminum(CALIBRATED_A), geo, seed_ghz=5.0 + 1.0j)
+
 
 def fd_greens_oracle(geometry, omega_ghz, j_src, n=10_000):
     """Columns of the lossless Helmholtz resolvent by a dense linear solve.
