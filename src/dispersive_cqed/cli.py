@@ -14,7 +14,10 @@ appear only in conductivity tables (labelled nu/kappa).  Unknown keys are
 rejected.  Exit codes: 0 success, 2 config error (nothing written) or
 output that cannot be written, 3 numerical failure (partial table written,
 with a status column appended).  Missing parent directories of the output
-path are created.
+path are created.  A write error exits 2 even when a table failed, since
+the status column did not reach the file; the files of a multi-file output
+are written one after another, so an earlier one, and the created
+directories, may remain.
 
 Output is deterministic: identical config and flags produce byte-identical
 files (fixed float formatting, LF line endings, no timestamps).

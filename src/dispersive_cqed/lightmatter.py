@@ -54,7 +54,6 @@ from .modes import (
 
 _RESONANCE_REL_TOL = 1e-6
 _SPECTRUM_MEMO_SIZE = 16  # modal spectra kept for reuse by later reports
-_POSITIONS_PER_SPECTRUM = 8  # qubit positions whose constants each spectrum keeps
 _MODELS = ("dispersion", "below_bandgap", "no_dispersion")
 
 
@@ -235,8 +234,8 @@ def _pole_constants(mode: Mode, material: Material, geometry: ResonatorGeometry)
 
 
 def _numerators(poles, psi, dipole_prefactor: float):
-    """Per mode (N+, omega_p, N-, conj(omega_p)): T_n's branches are N+/(W - omega_p)
-    and N-/(W + conj(omega_p)) at qubit frequency W, in MHz.
+    """Per mode (N+, N-): T_n's branches are N+/(W - omega_p) and
+    N-/(W + conj(omega_p)) at qubit frequency W, in MHz.
 
     ``poles`` are :func:`_pole_constants`, ``psi`` the amplitudes at the qubit
     (floats).  N+ = (pref omega_p) b with pref = i d^2 psi^2 1e3 (GHz -> MHz),
@@ -246,7 +245,7 @@ def _numerators(poles, psi, dipole_prefactor: float):
     numerators = []
     for (omega_p, b, omega_pc, bc), amp in zip(poles, psi):
         pref = scale * amp**2 * 1e3
-        numerators.append((pref * omega_p * b, omega_p, pref * omega_pc * bc, omega_pc))
+        numerators.append((pref * omega_p * b, pref * omega_pc * bc))
     return tuple(numerators)
 
 
@@ -260,8 +259,9 @@ def _mode_branches(modes, qubit, material, geometry) -> list[tuple[complex, comp
     at_qubit = _mode_matrix(modes, geometry, np.array([qubit.x_q]))[:, 0]
     psi = (at_qubit * _amplitude_scale(geometry)).tolist()
     w = qubit.omega_q
+    numerators = _numerators(poles, psi, qubit.dipole_prefactor)
     return [(n_plus / (w - p), n_minus / (w + pc))
-            for n_plus, p, n_minus, pc in _numerators(poles, psi, qubit.dipole_prefactor)]
+            for (n_plus, n_minus), (p, _, pc, _) in zip(numerators, poles)]
 
 
 def _frequencies(modes) -> np.ndarray:
@@ -333,9 +333,9 @@ class _ModalSpectrum:
     ``below_gap`` flags the bare frequencies below the gap.  ``stack``
     holds the spatial data of the modes as ``modes._eval_segments`` takes it.
 
-    ``positions`` is the memo entry's store of :func:`_position_constants`,
-    (x_q, dipole_prefactor) -> constants, least recently used first and at
-    most ``_POSITIONS_PER_SPECTRUM`` long; None for a spectrum not memoised.
+    ``position`` is the memo entry's one slot for :func:`_position_constants`:
+    a one-element list holding ((x_q, dipole_prefactor), constants) of the
+    latest report, replaced whole on a miss; None for a spectrum not memoised.
     """
 
     lossless: tuple[Mode, ...]
@@ -345,11 +345,11 @@ class _ModalSpectrum:
     nu_bare: np.ndarray
     below_gap: np.ndarray
     stack: tuple[np.ndarray, np.ndarray, np.ndarray]
-    positions: OrderedDict | None = None
+    position: list | None = None
 
 
 # (material, geometry, n_max, options) -> _ModalSpectrum, least recently used first.
-# The lock also guards each entry's position store, and keeps the warning
+# The lock also guards each entry's position slot, and keeps the warning
 # capture of a solve to one thread at a time.
 _spectra: OrderedDict = OrderedDict()
 _spectra_lock = threading.Lock()
@@ -399,7 +399,7 @@ def _modal_spectrum(
         finally:
             _reissue(caught)
         if not caught:
-            spectrum = replace(spectrum, positions=OrderedDict())
+            spectrum = replace(spectrum, position=[(None, None)])
             _spectra[key] = spectrum
             if len(_spectra) > _SPECTRUM_MEMO_SIZE:
                 _spectra.popitem(last=False)
@@ -412,26 +412,22 @@ def _position_constants(spectrum: _ModalSpectrum, geometry: ResonatorGeometry,
 
     The :func:`_numerators` of every pole and the weights nu_bare psi^2 of the
     comparator, with psi from one ``_eval_segments`` call.  They do not depend
-    on omega_q, so a memoised spectrum keeps them for its
-    ``_POSITIONS_PER_SPECTRUM`` most recent (x_q, dipole_prefactor).
+    on omega_q, so a memoised spectrum keeps those of its latest
+    (x_q, dipole_prefactor): a scan of omega_q at one position reuses them.
     """
     key = (qubit.x_q, qubit.dipole_prefactor)
-    store = spectrum.positions
-    if store is not None:
-        with _spectra_lock:
-            constants = store.get(key)
-            if constants is not None:
-                store.move_to_end(key)
-                return constants
+    slot = spectrum.position
+    if slot is not None:
+        last_key, constants = slot[0]  # one read of a pair that is replaced whole
+        if last_key == key:
+            return constants
     at_qubit = _eval_segments(np.array([qubit.x_q]), *spectrum.stack, geometry)[:, 0]
     psi = at_qubit * _amplitude_scale(geometry)
     constants = (_numerators(spectrum.poles, psi.tolist(), qubit.dipole_prefactor),
                  spectrum.nu_bare * psi**2)
-    if store is not None:
+    if slot is not None:
         with _spectra_lock:
-            store[key] = constants
-            if len(store) > _POSITIONS_PER_SPECTRUM:
-                store.popitem(last=False)
+            slot[0] = key, constants
     return constants
 
 
@@ -454,8 +450,8 @@ def lamb_shift_report(
     qubit: they are solved once per (material, geometry, n_max, options) and
     reused by later reports on the same device.  The pole numerators and
     comparator weights depend on the qubit only through (x_q,
-    dipole_prefactor) and are kept with the spectrum, so a report at a known
-    position pays only for omega_q.
+    dipole_prefactor) and the spectrum keeps those of its latest position, so
+    a report at the same position pays only for omega_q.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
@@ -466,7 +462,7 @@ def lamb_shift_report(
     numerators, cc_weights = _position_constants(spectrum, geometry, qubit)
     w = qubit.omega_q
     terms = np.array([n_plus / (w - p) + n_minus / (w + pc)
-                      for n_plus, p, n_minus, pc in numerators])
+                      for (n_plus, n_minus), (p, _, pc, _) in zip(numerators, spectrum.poles)])
     partial = np.cumsum(terms)
     normalized = _normalized(partial)
     cc_terms = _comparator(cc_weights, spectrum.nu_bare, qubit)

@@ -379,8 +379,9 @@ def fixed_point_eigenfrequency(
     Warns GapStraddle and restarts from just across the gap if an iterate
     crosses the pair-breaking edge; a second crossing raises NoConvergence.
     So does an iterate the impedance refuses (DomainError), as where rhs < 0
-    below the gap sends the next one off the real axis; a refused starting
-    point raises the DomainError itself.
+    below the gap sends the next one off the real axis; its residual history
+    keeps the residuals from before a restart too.  A refused starting point
+    raises the DomainError itself.
     """
     gap_rad = material.gap_frequency * _TWO_PI_GHZ  # reduced nu = 2 in rad/s
     if seed_ghz is None:
@@ -390,6 +391,7 @@ def fixed_point_eigenfrequency(
         if omega.real <= 0.0:
             raise DomainError(f"seed must have a positive real part, got {seed_ghz}")
     residuals: list[float] = []
+    before_restart: list[float] = []
     restarted = False
 
     def _side(w: complex) -> bool:
@@ -404,7 +406,7 @@ def fixed_point_eigenfrequency(
                 raise
             raise NoConvergence(
                 f"fixed-point iterate left the domain: {exc}",
-                residual_history=residuals,
+                residual_history=before_restart + residuals,
             ) from exc
         rel = abs(omega * omega - rhs) / max(abs(omega) ** 2, 1e-300)
         residuals.append(rel)
@@ -435,7 +437,7 @@ def fixed_point_eigenfrequency(
                 omega_new = complex(gap_rad * (1.0 + _GAP_RESTART_OFFSET), max(omega_new.imag, 0.0))
             else:
                 omega_new = complex(gap_rad * (1.0 - _GAP_RESTART_OFFSET))
-            residuals.clear()
+            before_restart, residuals = residuals, []
         omega = omega_new
     raise NoConvergence(
         f"dispersion fixed point did not reach tol={options.tol} in "

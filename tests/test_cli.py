@@ -443,21 +443,26 @@ class TestLambShift:
 
     @pytest.mark.parametrize("side", [0.99, 1.01])
     def test_solver_leaving_the_domain_is_a_numerical_failure(self, tmp_path, capsys, side):
-        # A valid device on which mode 1's fixed point fails: 10x the
-        # calibrated prefactor with the gap next to mode 1's bare frequency.
-        cfg = base_config(n_max=3)
-        cfg["material"] = {
-            "gap_frequency": side * NU1_LOSSLESS,
-            "limit_regime": "extreme_anomalous",
-            "impedance_prefactor": 10.0 * CALIBRATED_A,
-        }
         out = tmp_path / "shift.csv"
-        rc = run_cli(["lamb-shift", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        path = write_config(tmp_path, solver_failure_config(side))
+        rc = run_cli(["lamb-shift", "--config", path, "--out", str(out)])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
         _, columns, rows = parse_csv(out.read_text())
         assert columns[-1] == "status"
         assert rows == [["0", "nan", "nan", "NoConvergence"]]
+
+
+def solver_failure_config(side):
+    """A valid device on which mode 1's fixed point fails: 10x the calibrated
+    prefactor with the gap at ``side`` times mode 1's bare frequency."""
+    cfg = base_config(n_max=3)
+    cfg["material"] = {
+        "gap_frequency": side * NU1_LOSSLESS,
+        "limit_regime": "extreme_anomalous",
+        "impedance_prefactor": 10.0 * CALIBRATED_A,
+    }
+    return cfg
 
 
 class TestOutputPath:
@@ -482,6 +487,26 @@ class TestOutputPath:
         assert proc.returncode == 2
         assert proc.stderr.startswith("cannot write output: ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    def test_unwritable_output_of_a_failed_table_exits_2(self, tmp_path, capsys):
+        # The status column that exit 3 points to never reached the file.
+        path = write_config(tmp_path, solver_failure_config(0.99))
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert run_cli(["lamb-shift", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1
+
+    def test_failed_sibling_write_leaves_the_earlier_file(self, tmp_path, capsys):
+        # Files are written in turn: the per-mode table is on disk when the
+        # convergence sibling cannot be written.
+        path = write_config(tmp_path, base_config(n_max=4))
+        out = tmp_path / "shift.csv"
+        (tmp_path / "shift.convergence.csv").mkdir()
+        assert run_cli(["lamb-shift", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("cannot write output: ")
+        assert parse_csv(out.read_text())[2]
+        assert not (tmp_path / "shift.totals.csv").exists()
 
 
 class TestSpectralDensity:

@@ -1,11 +1,9 @@
 """Couplings, spectral density, Lamb-shift terms, report assembly."""
 
-import gc
 import math
 import sys
 import threading
 import warnings
-import weakref
 from collections import OrderedDict
 from dataclasses import astuple, replace
 
@@ -658,8 +656,8 @@ class TestSpectrumMemo:
         # Four threads cycle through more devices than the memo holds, so
         # hits, stores, evictions and the warning capture of solves interleave;
         # overlapping captures would leave the process's warning state altered.
-        # Each thread puts its qubit elsewhere, so the position stores of the
-        # shared spectra are filled and read from all four.
+        # Each thread puts its qubit elsewhere, so the position slots of the
+        # shared spectra are replaced and read from all four.
         geo, material = make_geometry(), aluminum(0.0)
         sizes = range(1, lightmatter._SPECTRUM_MEMO_SIZE + 9)
         positions = [k * geo.length / 3 for k in range(4)]
@@ -693,8 +691,6 @@ class TestSpectrumMemo:
         assert not any(t.is_alive() for t in threads)
         assert failures == []
         assert len(memo) <= lightmatter._SPECTRUM_MEMO_SIZE
-        assert all(len(s.positions) <= lightmatter._POSITIONS_PER_SPECTRUM
-                   for s in memo.values())
         assert warnings.filters == filters and warnings.showwarning is showwarning
 
     @staticmethod
@@ -710,7 +706,7 @@ class TestSpectrumMemo:
     @pytest.mark.parametrize("device", ["one_load", "three_load"])
     def test_scans_at_known_positions_equal_cold_reports(self, memo, device):
         # x_q at the line's start, inside a segment, exactly on a load and at
-        # its end, each at two dipole scales: 8 positions, the store's bound.
+        # its end, each at two dipole scales, each scanned in omega_q.
         if device == "one_load":
             material, geo = aluminum(CALIBRATED_A), make_geometry(x_q=0.0045)
         else:
@@ -721,41 +717,28 @@ class TestSpectrumMemo:
         qubits = [QubitParams(omega_q, x_q, dipole_prefactor=d)
                   for x_q in positions for d in (1.0, 1.7) for omega_q in (4.1, 4.65, 5.3)]
         cold = self._cold_reports(memo, qubits, material, geo, self.N)
+        slots = []
         for qubit in qubits:
             _assert_identical_reports(lamb_shift_report(qubit, material, geo, self.N),
                                       cold[qubit])
-        (spectrum,) = memo.values()
-        assert list(spectrum.positions) == list(dict.fromkeys(
-            (q.x_q, q.dipole_prefactor) for q in qubits))
+            (spectrum,) = memo.values()
+            slots.append(spectrum.position[0])
+        # Within a scan the slot's constants are reused, not rebuilt.
+        for previous, slot, qubit in zip(slots, slots[1:], qubits[1:]):
+            assert slot[0] == (qubit.x_q, qubit.dipole_prefactor)
+            assert (slot is previous) == (slot[0] == previous[0])
 
-    def test_interleaved_positions_evict_and_still_equal_cold_reports(self, memo):
+    def test_interleaved_positions_replace_the_slot_and_equal_cold_reports(self, memo):
         geo, al = make_geometry(), aluminum(CALIBRATED_A)
-        bound = lightmatter._POSITIONS_PER_SPECTRUM
-        xs = np.linspace(0.0, geo.length, bound + 3).tolist()
-        # Two passes over more positions than the store holds: each position
-        # is evicted before it comes back.
+        xs = np.linspace(0.0, geo.length, 5).tolist()
+        # Two passes over the positions: every report replaces the slot, and
+        # each position comes back after others have taken it.
         qubits = [QubitParams(omega_q, x_q) for omega_q in (4.3, 5.1) for x_q in xs]
         cold = self._cold_reports(memo, qubits, al, geo, self.N)
         for qubit in qubits:
             _assert_identical_reports(lamb_shift_report(qubit, al, geo, self.N), cold[qubit])
             (spectrum,) = memo.values()
-            assert len(spectrum.positions) <= bound
-        assert list(spectrum.positions) == [(x_q, 1.0) for x_q in xs[-bound:]]
-
-    def test_position_store_is_bounded_and_evicted_with_its_spectrum(self, memo):
-        geo, material = make_geometry(), aluminum(0.0)
-        bound = lightmatter._POSITIONS_PER_SPECTRUM
-        for i in range(bound + 4):
-            lamb_shift_report(QubitParams(5.0, i * geo.length / 20), material, geo, 3)
-            (spectrum,) = memo.values()
-            assert len(spectrum.positions) == min(i + 1, bound)
-        store = weakref.ref(spectrum.positions)
-        del spectrum
-        for n_max in range(4, 4 + lightmatter._SPECTRUM_MEMO_SIZE):
-            lamb_shift_report(QubitParams(5.0, 0.0), material, geo, n_max)
-        assert all(key[2] != 3 for key in memo)
-        gc.collect()
-        assert store() is None
+            assert spectrum.position[0][0] == (qubit.x_q, 1.0)
 
     def test_terms_of_a_hit_equal_lamb_shift_terms(self, memo):
         geo, al = make_geometry(), aluminum(CALIBRATED_A)

@@ -408,6 +408,32 @@ class TestNearGap:
         assert info.value.residual_history
         assert isinstance(info.value.__cause__, DomainError)
 
+    def test_iterate_refused_right_after_a_restart_keeps_the_history(self, monkeypatch):
+        # The red shift pulls mode 1 across a gap just under its bare
+        # frequency; the impedance then refuses the restart point, so the
+        # only residuals are those from before the restart.
+        import dispersive_cqed.modes as modes_module
+
+        original = modes_module.surface_impedance
+        calls = []
+
+        def refuses_after_restart(material, frequency_ghz):
+            if caught:
+                raise DomainError("refused")
+            calls.append(frequency_ghz)
+            return original(material, frequency_ghz)
+
+        monkeypatch.setattr(modes_module, "surface_impedance", refuses_after_restart)
+        geo = make_geometry()
+        k = secular_roots(geo, 1)[0]
+        material = aluminum(CALIBRATED_A, gap_frequency=0.999 * geo.bare_frequency_ghz(k))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", GapStraddle)
+            with pytest.raises(NoConvergence, match="left the domain") as info:
+                fixed_point_eigenfrequency(k, material, geo)
+        assert [w.category for w in caught] == [GapStraddle]
+        assert len(info.value.residual_history) == len(calls) > 0
+
     def test_seed_refused_by_the_impedance_is_a_domain_error(self):
         geo = make_geometry()
         k = secular_roots(geo, 1)[0]
