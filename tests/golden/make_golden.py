@@ -9,10 +9,11 @@ the files byte for byte, together with the exit code in ``exit_codes.json``.
 The CLI tables print 12 digits and cannot see a last-bit move, so two files
 pin values to the bit, as ``float.hex``:
 
-* ``reports.json``: ``lamb_shift_report`` per-mode terms, comparator terms
-  and totals on four devices (``REPORT_CASES``), each at two qubit
-  frequencies; a memo miss and a memo hit must both reproduce them, and so
-  must a hit at the other frequency, which reuses the position constants.
+* ``reports.json``: ``lamb_shift_report`` per-mode terms, partial sums,
+  normalized curve, 70 % index, comparator terms and totals on four devices
+  (``REPORT_CASES``), each at two qubit frequencies; a memo miss and a memo
+  hit must both reproduce them, and so must a hit at the other frequency,
+  which reuses the position constants.
 * ``carlson_pairs.json``: R_F and R_D on argument triples that cover the
   complete integrals with a vanishing complement, the ``sigma_tilde``
   arguments of every bundled config, signed zeros on the negative axis and
@@ -150,7 +151,8 @@ def _hex_complex(value: complex) -> list[str]:
 
 
 def report_record(case_id: str, omega_q: float) -> dict:
-    """``float.hex`` of one report's terms, comparator terms and totals."""
+    """``float.hex`` of one report's terms, partial sums, normalized curve,
+    comparator terms and totals, with its 70 % convergence index."""
     material, geometry, n_max, options, x_q, dipole = REPORT_CASES[case_id]
     qubit = QubitParams(omega_q, x_q, dipole_prefactor=dipole)
     with warnings.catch_warnings():
@@ -159,6 +161,9 @@ def report_record(case_id: str, omega_q: float) -> dict:
     totals = report.totals
     return {
         "per_mode_terms": [_hex_complex(t) for t in report.per_mode_terms],
+        "partial_sums": [_hex_complex(t) for t in report.partial_sums],
+        "normalized_curve": [float(t).hex() for t in report.normalized_curve],
+        "convergence_index_70pct": report.convergence_index_70pct,
         "comparator_terms": [float(t).hex() for t in report.comparator_terms],
         "totals": [float(t).hex() for t in
                    (totals.dispersion, totals.below_bandgap, totals.no_dispersion)],
