@@ -32,6 +32,7 @@ import operator
 import sys
 import threading
 import warnings
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import astuple, dataclass, replace
 
@@ -222,7 +223,11 @@ def lamb_shift_term_branches(
     the sum is exactly real.  Exposed separately so the mirror-pair realness
     can be checked branch by branch.
     """
-    return _mode_branches([mode], qubit, material, geometry)[0]
+    poles, psi = _poles_and_amplitudes([mode], qubit, material, geometry)
+    ((n_plus, n_minus),) = _numerators(poles, psi, qubit.dipole_prefactor)
+    ((p, _, pc, _),) = poles
+    w = qubit.omega_q
+    return n_plus / (w - p), n_minus / (w + pc)
 
 
 def _pole_constants(mode: Mode, material: Material, geometry: ResonatorGeometry):
@@ -249,19 +254,56 @@ def _numerators(poles, psi, dipole_prefactor: float):
     return tuple(numerators)
 
 
-def _mode_branches(modes, qubit, material, geometry) -> list[tuple[complex, complex]]:
-    """Mirror branches of each mode's T_n (MHz), with Psi_n(x_q) from one kernel call."""
+def _term_constants(poles, psi, dipole_prefactor: float):
+    """The omega_q-independent constants of the terms T_n, as :func:`_terms` takes them.
+
+    ``(nu, a, b, lossy)``: the leading modes whose pole and numerators are
+    real, with nonzero real numerators, as float64 arrays of their poles nu
+    and numerators a = N+, b = N-; then (N+, N-, omega_p, conj(omega_p)) of
+    every later mode.  Dividing a real nonzero numerator by a complex
+    denominator with zero imaginary part, CPython's complex division reduces
+    exactly to the real division (its ratio Im/Re is a signed zero), so the
+    arrays give the real parts of those terms to the bit.
+    """
+    numerators = _numerators(poles, psi, dipole_prefactor)
+    n_real = 0
+    for (n_plus, n_minus), (p, _, _, _) in zip(numerators, poles):
+        if p.imag or n_plus.imag or n_minus.imag or not (n_plus.real and n_minus.real):
+            break
+        n_real += 1
+    real = numerators[:n_real]
+    lossy = tuple((n_plus, n_minus, p, pc) for (n_plus, n_minus), (p, _, pc, _)
+                  in zip(numerators[n_real:], poles[n_real:]))
+    return (np.array([p.real for p, _, _, _ in poles[:n_real]]),
+            np.array([n_plus.real for n_plus, _ in real]),
+            np.array([n_minus.real for _, n_minus in real]),
+            lossy)
+
+
+def _terms(w: float, constants) -> np.ndarray:
+    """Complex per-mode terms T_n (MHz) at qubit frequency w from :func:`_term_constants`.
+
+    Each T_n is N+/(w - omega_p) + N-/(w + conj(omega_p)); the leading real
+    modes are evaluated as one float64 expression, with imaginary part +0.
+    """
+    nu, a, b, lossy = constants
+    real = a / (w - nu) + b / (w + nu)
+    if not lossy:
+        return real.astype(complex)
+    return np.concatenate((real, [n_plus / (w - p) + n_minus / (w + pc)
+                                  for n_plus, n_minus, p, pc in lossy]))
+
+
+def _poles_and_amplitudes(modes, qubit, material, geometry):
+    """The :func:`_pole_constants` of ``modes`` and their amplitudes psi at the qubit
+    (floats, from one kernel call), after the position and resonance checks."""
     _check_position(qubit, geometry)
     if not modes:
-        return []
+        return [], []
     _check_resonance(qubit.omega_q, _frequencies(modes))
     poles = [_pole_constants(m, material, geometry) for m in modes]
     at_qubit = _mode_matrix(modes, geometry, np.array([qubit.x_q]))[:, 0]
-    psi = (at_qubit * _amplitude_scale(geometry)).tolist()
-    w = qubit.omega_q
-    numerators = _numerators(poles, psi, qubit.dipole_prefactor)
-    return [(n_plus / (w - p), n_minus / (w + pc))
-            for (n_plus, n_minus), (p, _, pc, _) in zip(numerators, poles)]
+    return poles, (at_qubit * _amplitude_scale(geometry)).tolist()
 
 
 def _frequencies(modes) -> np.ndarray:
@@ -279,8 +321,8 @@ def lamb_shift_terms(
     The reported physical contribution of mode n is the real part; below-gap
     modes (kappa_n = 0) produce exactly real terms through the same formula.
     """
-    branches = _mode_branches(modes, qubit, material, geometry)
-    return np.array([plus + minus for plus, minus in branches], dtype=complex)
+    poles, psi = _poles_and_amplitudes(modes, qubit, material, geometry)
+    return _terms(qubit.omega_q, _term_constants(poles, psi, qubit.dipole_prefactor))
 
 
 def cc_comparator_term(
@@ -317,7 +359,7 @@ def normalized_convergence(per_mode_terms) -> np.ndarray:
 def _normalized(partial: np.ndarray) -> np.ndarray:
     """Re(partial)/Re(total) from the partial sums (real or complex) of a term sequence."""
     partial = partial.real
-    total = partial[-1]
+    total = float(partial[-1])
     if total == 0.0:
         raise DomainError("total shift vanishes; normalized curve undefined")
     return partial / total
@@ -330,8 +372,11 @@ class _ModalSpectrum:
     ``lossless`` are the bare modes, ``dispersive`` the same modes carrying
     their dispersion fixed points, ``poles`` the :func:`_pole_constants` of
     each, ``nu`` and ``nu_bare`` the dispersive and bare frequencies, and
-    ``below_gap`` flags the bare frequencies below the gap.  ``stack``
-    holds the spatial data of the modes as ``modes._eval_segments`` takes it.
+    ``below_gap`` flags the bare frequencies below the gap.  The bare
+    frequencies increase with n, so the flagged modes are the first
+    ``n_below``.  ``resonances`` lists every dispersive and bare frequency in
+    increasing order, for :func:`_check_resonances`.  ``stack`` holds the
+    spatial data of the modes as ``modes._eval_segments`` takes it.
 
     ``position`` is the memo entry's one slot for :func:`_position_constants`:
     a one-element list holding ((x_q, dipole_prefactor), constants) of the
@@ -344,6 +389,8 @@ class _ModalSpectrum:
     nu: np.ndarray
     nu_bare: np.ndarray
     below_gap: np.ndarray
+    n_below: int
+    resonances: list[float]
     stack: tuple[np.ndarray, np.ndarray, np.ndarray]
     position: list | None = None
 
@@ -362,8 +409,26 @@ def _solve_spectrum(
     dispersive = tuple(_with_eigenfrequencies(lossless, material, geometry, options))
     poles = tuple(_pole_constants(m, material, geometry) for m in dispersive)
     below_gap = np.array([material.reduced(m.omega_n.nu) < 2.0 for m in lossless])
-    return _ModalSpectrum(lossless, dispersive, poles, _frequencies(dispersive),
-                          _frequencies(lossless), below_gap, _stack(lossless))
+    nu, nu_bare = _frequencies(dispersive), _frequencies(lossless)
+    return _ModalSpectrum(lossless, dispersive, poles, nu, nu_bare, below_gap,
+                          int(below_gap.sum()), sorted(nu.tolist() + nu_bare.tolist()),
+                          _stack(lossless))
+
+
+def _check_resonances(omega_q: float, spectrum: _ModalSpectrum) -> None:
+    """:func:`_check_resonance` on the dispersive, then the bare frequencies.
+
+    Float subtraction is monotone, so no frequency lies closer to omega_q
+    than its two neighbours in ``spectrum.resonances``: only when one of
+    them is on resonance are the two arrays scanned, for the error message.
+    """
+    nus = spectrum.resonances
+    i = bisect_left(nus, omega_q)
+    tol = _RESONANCE_REL_TOL * omega_q
+    if (i > 0 and abs(omega_q - nus[i - 1]) < tol) or (
+            i < len(nus) and abs(omega_q - nus[i]) < tol):
+        _check_resonance(omega_q, spectrum.nu)
+        _check_resonance(omega_q, spectrum.nu_bare)
 
 
 def _reissue(caught) -> None:
@@ -408,11 +473,11 @@ def _modal_spectrum(
 
 def _position_constants(spectrum: _ModalSpectrum, geometry: ResonatorGeometry,
                         qubit: QubitParams):
-    """(numerators, comparator weights) of a report at the qubit's position and scale.
+    """(term constants, comparator weights) of a report at the qubit's position and scale.
 
-    The :func:`_numerators` of every pole and the weights nu_bare psi^2 of the
-    comparator, with psi from one ``_eval_segments`` call.  They do not depend
-    on omega_q, so a memoised spectrum keeps those of its latest
+    The :func:`_term_constants` of the poles and the weights nu_bare psi^2 of
+    the comparator, with psi from one ``_eval_segments`` call.  They do not
+    depend on omega_q, so a memoised spectrum keeps those of its latest
     (x_q, dipole_prefactor): a scan of omega_q at one position reuses them.
     """
     key = (qubit.x_q, qubit.dipole_prefactor)
@@ -423,7 +488,7 @@ def _position_constants(spectrum: _ModalSpectrum, geometry: ResonatorGeometry,
             return constants
     at_qubit = _eval_segments(np.array([qubit.x_q]), *spectrum.stack, geometry)[:, 0]
     psi = at_qubit * _amplitude_scale(geometry)
-    constants = (_numerators(spectrum.poles, psi.tolist(), qubit.dipole_prefactor),
+    constants = (_term_constants(spectrum.poles, psi.tolist(), qubit.dipole_prefactor),
                  spectrum.nu_bare * psi**2)
     if slot is not None:
         with _spectra_lock:
@@ -457,29 +522,28 @@ def lamb_shift_report(
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     _check_position(qubit, geometry)
     spectrum = _modal_spectrum(material, geometry, n_max, options)
-    _check_resonance(qubit.omega_q, spectrum.nu)
-    _check_resonance(qubit.omega_q, spectrum.nu_bare)
-    numerators, cc_weights = _position_constants(spectrum, geometry, qubit)
-    w = qubit.omega_q
-    terms = np.array([n_plus / (w - p) + n_minus / (w + pc)
-                      for (n_plus, n_minus), (p, _, pc, _) in zip(numerators, spectrum.poles)])
-    partial = np.cumsum(terms)
+    _check_resonances(qubit.omega_q, spectrum)
+    term_constants, cc_weights = _position_constants(spectrum, geometry, qubit)
+    terms = _terms(qubit.omega_q, term_constants)
+    partial = terms.cumsum()  # array methods, not the numpy wrappers: a hit is call-bound
     normalized = _normalized(partial)
     cc_terms = _comparator(cc_weights, spectrum.nu_bare, qubit)
-    below_gap = spectrum.below_gap.copy()
+    no_dispersion = float(cc_terms.sum())
+    n_below = spectrum.n_below
     return LambShiftReport(
         per_mode_terms=terms,
         partial_sums=partial,
         normalized_curve=normalized,
         totals=LambShiftTotals(
             dispersion=float(partial[-1].real),
-            below_bandgap=float(cc_terms[below_gap].sum()),
-            no_dispersion=float(cc_terms.sum()),
+            below_bandgap=(no_dispersion if n_below == len(cc_terms)
+                           else float(cc_terms[:n_below].sum())),
+            no_dispersion=no_dispersion,
         ),
-        convergence_index_70pct=int(np.argmax(normalized >= 0.70)) + 1,
+        convergence_index_70pct=int((normalized >= 0.70).argmax()) + 1,
         modes=list(spectrum.dispersive),
         comparator_terms=cc_terms,
-        below_gap=below_gap,
+        below_gap=spectrum.below_gap.copy(),
     )
 
 

@@ -45,7 +45,7 @@ from .errors import (
     NoConvergence,
     PoleProximity,
 )
-from .impedance import _TWO_PI_GHZ, Material, surface_impedance
+from .impedance import _TWO_PI_GHZ, Material, _hash_once, surface_impedance
 from .mattis_bardeen import ComplexFreq
 
 
@@ -57,6 +57,7 @@ class QubitLoad:
     c_series: float
 
 
+@_hash_once
 @dataclass(frozen=True)
 class ResonatorGeometry:
     length: float  # L, meters
@@ -312,6 +313,7 @@ def mode_function(mode: Mode, geometry: ResonatorGeometry, x) -> np.ndarray | fl
     return out.reshape(x_arr.shape) if x_arr.ndim else float(out[0])
 
 
+@_hash_once
 @dataclass(frozen=True)
 class FixedPointOptions:
     """Settings of :func:`fixed_point_eigenfrequency`, checked on construction.

@@ -1,5 +1,7 @@
 """Shared fixtures and the finite-difference eigenfrequency oracle."""
 
+import functools
+import importlib.util
 import math
 import os
 from pathlib import Path
@@ -29,6 +31,16 @@ def child_env() -> dict:
     inherited = os.environ.get("PYTHONPATH")
     path = os.pathsep.join([str(SRC), inherited]) if inherited else str(SRC)
     return {**os.environ, "PYTHONPATH": path}
+
+
+@functools.cache
+def golden_generator():
+    """``tests/golden/make_golden.py`` loaded as a module, once per session."""
+    path = Path(__file__).resolve().parent / "golden" / "make_golden.py"
+    spec = importlib.util.spec_from_file_location("make_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_geometry(

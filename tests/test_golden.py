@@ -8,7 +8,6 @@ on a memo hit and on a hit at the other qubit frequency.
 """
 
 import difflib
-import importlib.util
 import json
 from collections import OrderedDict
 from pathlib import Path
@@ -17,11 +16,11 @@ import pytest
 
 from dispersive_cqed import lightmatter
 
+from conftest import golden_generator
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-_spec = importlib.util.spec_from_file_location("make_golden", GOLDEN_DIR / "make_golden.py")
-make_golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(make_golden)
+make_golden = golden_generator()
 
 EXIT_CODES = json.loads((GOLDEN_DIR / "exit_codes.json").read_text())
 REPORTS = json.loads(make_golden.REPORT_FILE.read_text())

@@ -1,11 +1,14 @@
 """Couplings, spectral density, Lamb-shift terms, report assembly."""
 
 import math
+import os
+import pickle
+import subprocess
 import sys
 import threading
 import warnings
 from collections import OrderedDict
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ from dispersive_cqed.lightmatter import (
 )
 from dispersive_cqed.mattis_bardeen import ComplexFreq
 from dispersive_cqed.modes import (
+    FixedPointOptions,
     QubitLoad,
     dispersive_modes,
     mode_function,
@@ -46,7 +50,7 @@ from dispersive_cqed.modes import (
     secular_roots,
 )
 
-from conftest import CALIBRATED_A, make_geometry
+from conftest import CALIBRATED_A, child_env, golden_generator, make_geometry
 
 
 def _amp_scale(geometry):
@@ -785,3 +789,193 @@ class TestMirrorSymmetry:
         loads = [QubitLoad(0.0, 1.0e-14), QubitLoad(0.37 * length, 2.0e-14),
                  QubitLoad(0.81 * length, 5.0e-15)]
         self._assert_mirror_invariant(loads, loads[1].position)
+
+
+_HIT_DEVICES = ("niobium", "gap_00p6um", "three_load")  # cases of tests/golden/reports.json
+
+
+def _report_setup(case_id):
+    """(material, geometry, n_max, options, x_q, dipole_prefactor) of a golden report case."""
+    return golden_generator().REPORT_CASES[case_id]
+
+
+def _hit_spectrum(case_id):
+    """The device's memoised spectrum, with its position slot set to the case's qubit."""
+    material, geometry, n_max, options, x_q, dipole = _report_setup(case_id)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lamb_shift_report(QubitParams(1e-3, x_q, dipole), material, geometry, n_max, options)
+    return lightmatter._modal_spectrum(material, geometry, n_max, options)
+
+
+def _hex_record(per_mode_terms, partial_sums, normalized, comparator, totals, index):
+    def cplx(values):
+        return [(float(v.real).hex(), float(v.imag).hex()) for v in values]
+
+    return {"terms": cplx(per_mode_terms), "partial": cplx(partial_sums),
+            "normalized": [float(v).hex() for v in normalized],
+            "comparator": [float(v).hex() for v in comparator],
+            "totals": [float(t).hex() for t in totals], "index": index}
+
+
+def _reference_record(spectrum, geometry, qubit):
+    """A report rebuilt the slow way: Python complex N+/(W - p) + N-/(W + conj(p)) per
+    mode from the spectrum's poles and ``_numerators``, ``np.cumsum`` and the
+    dispersionless comparator d^2 (nu psi^2 (1/(W - nu) - 1/(W + nu))) 1e3."""
+    at_qubit = modes_module._mode_matrix(spectrum.lossless, geometry, np.array([qubit.x_q]))
+    psi = at_qubit[:, 0] * _amp_scale(geometry)
+    w, d = qubit.omega_q, qubit.dipole_prefactor
+    numerators = lightmatter._numerators(spectrum.poles, psi.tolist(), d)
+    terms = np.array([n_plus / (w - p) + n_minus / (w + pc)
+                      for (n_plus, n_minus), (p, _, pc, _) in zip(numerators, spectrum.poles)])
+    partial = np.cumsum(terms)
+    normalized = partial.real / partial[-1].real
+    nu = spectrum.nu_bare
+    comparator = d**2 * (nu * psi**2 * (1.0 / (w - nu) - 1.0 / (w + nu))) * 1e3
+    totals = (partial[-1].real, comparator[spectrum.below_gap].sum(), comparator.sum())
+    index = int(np.argmax(normalized >= 0.70)) + 1
+    return _hex_record(terms, partial, normalized, comparator, totals, index)
+
+
+def _scan_message(omega_q, spectrum):
+    """The resonance error of two full array scans, dispersive then bare; None if clear."""
+    for nu in (spectrum.nu, spectrum.nu_bare):
+        on = np.abs(omega_q - nu) < 1e-6 * omega_q
+        if on.any():
+            return f"qubit at {omega_q} GHz is degenerate with a mode at {float(nu[on.argmax()])} GHz"
+    return None
+
+
+@st.composite
+def _qubit_frequencies(draw, resonances):
+    """A qubit frequency below the lowest mode, between two modes or above the highest."""
+    t = draw(st.floats(min_value=0.01, max_value=0.99))
+    region = draw(st.sampled_from(["below", "between", "above"]))
+    if region == "below":
+        return resonances[0] * t
+    if region == "above":
+        return resonances[-1] * (1.0 + 2.0 * t)
+    i = draw(st.integers(min_value=0, max_value=len(resonances) - 2))
+    return resonances[i] + t * (resonances[i + 1] - resonances[i])
+
+
+class TestMemoHitDifferential:
+    """A memo hit equals, bit for bit and signed zeros included, a reference
+    assembled per mode in Python complex arithmetic: the float64 expression
+    for the lossless modes and the slice sums change no bit."""
+
+    @pytest.mark.parametrize("case_id", _HIT_DEVICES)
+    def test_devices_cover_lossless_and_lossy_modes(self, case_id):
+        spectrum = _hit_spectrum(case_id)
+        lossless = sum(p.imag == 0.0 for p, _, _, _ in spectrum.poles)
+        expected = {"niobium": (50, 50), "gap_00p6um": (30, 14), "three_load": (30, 14)}
+        assert (len(spectrum.poles), lossless) == expected[case_id]
+
+    @pytest.mark.parametrize("case_id", _HIT_DEVICES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_hit_equals_the_reference_to_the_bit(self, case_id, data):
+        material, geometry, n_max, options, x_q, dipole = _report_setup(case_id)
+        spectrum = _hit_spectrum(case_id)
+        omega_q = data.draw(_qubit_frequencies(spectrum.resonances))
+        if _scan_message(omega_q, spectrum) is not None:
+            return
+        qubit = QubitParams(omega_q, x_q, dipole)
+        report = lamb_shift_report(qubit, material, geometry, n_max, options)
+        assert lightmatter._modal_spectrum(material, geometry, n_max, options) is spectrum
+        got = _hex_record(report.per_mode_terms, report.partial_sums, report.normalized_curve,
+                          report.comparator_terms, astuple(report.totals),
+                          report.convergence_index_70pct)
+        assert got == _reference_record(spectrum, geometry, qubit)
+
+
+class TestResonanceBisection:
+    """The bisected resonance check refuses exactly the qubit frequencies that two
+    full array scans refuse, with the same message."""
+
+    @staticmethod
+    def _probes(spectrum):
+        """Every mode frequency, and a few ulps around nu (1 +- 1e-6) and
+        nu / (1 -+ 1e-6), where the relative test flips."""
+        probes = []
+        for nu in spectrum.resonances:
+            probes.append(nu)
+            for edge in (nu * (1.0 + 1e-6), nu * (1.0 - 1e-6),
+                         nu / (1.0 - 1e-6), nu / (1.0 + 1e-6)):
+                below, above = edge, edge
+                for _ in range(2):
+                    below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+                    probes += [float(below), float(above)]
+                probes.append(edge)
+        return probes
+
+    @pytest.mark.parametrize("case_id", _HIT_DEVICES)
+    def test_refuses_where_the_array_scans_refuse(self, case_id):
+        material, geometry, n_max, options, x_q, dipole = _report_setup(case_id)
+        spectrum = _hit_spectrum(case_id)
+        outcomes = set()
+        for omega_q in self._probes(spectrum):
+            expected = _scan_message(omega_q, spectrum)
+            outcomes.add(expected is None)
+            qubit = QubitParams(omega_q, x_q, dipole)
+            if expected is None:
+                lamb_shift_report(qubit, material, geometry, n_max, options)
+                continue
+            with pytest.raises(QubitOnResonance) as info:
+                lamb_shift_report(qubit, material, geometry, n_max, options)
+            assert str(info.value) == expected
+        assert outcomes == {True, False}  # both sides of the edge were probed
+
+
+class TestMemoKeyHash:
+    """The memo key's configs hash their fields once; the cached value is not a
+    field and never leaves the process."""
+
+    @staticmethod
+    def _configs():
+        return (aluminum(CALIBRATED_A), make_geometry(x_q=0.004), FixedPointOptions(tol=1e-11))
+
+    def test_cached_hash_equals_a_fresh_objects_hash(self):
+        for config, fresh in zip(self._configs(), self._configs()):
+            first = hash(config)
+            assert hash(config) == first == hash(fresh)
+            assert config == fresh
+            assert "_hash" not in repr(config)
+            assert [f.name for f in fields(config)] == list(asdict(config))
+
+    def test_replace_hashes_the_new_value(self):
+        material, geometry, options = self._configs()
+        for config in (material, geometry, options):
+            hash(config)  # cached before the copies are made
+        changed = (replace(material, impedance_prefactor=2.0 * CALIBRATED_A),
+                   replace(geometry, g_geom=1.5e6), replace(options, max_iter=17))
+        built = (aluminum(2.0 * CALIBRATED_A),
+                 make_geometry(x_q=0.004, g_geom=1.5e6), FixedPointOptions(tol=1e-11, max_iter=17))
+        for new, fresh, old in zip(changed, built, (material, geometry, options)):
+            assert new == fresh and new != old
+            assert hash(new) == hash(fresh)
+
+    def test_pickled_key_finds_an_entry_built_under_another_hash_seed(self):
+        material, geometry, options = self._configs()
+        key = (material, geometry, 3, options)
+        hash(key)  # caches each config's hash in this process
+        seed = os.environ.get("PYTHONHASHSEED", "")
+        child_seed = str(int(seed) + 1) if seed.isdigit() else "1"
+        script = (
+            "import pickle, sys\n"
+            "from dataclasses import replace\n"
+            "from dispersive_cqed import lightmatter\n"
+            "material, geometry, n_max, options = pickle.loads(sys.stdin.buffer.read())\n"
+            "built = (replace(material), replace(geometry), replace(options))\n"
+            "lightmatter.lamb_shift_report(lightmatter.QubitParams(5.0, 0.0),\n"
+            "                              built[0], built[1], n_max, built[2])\n"
+            "print(hash(material.name), (material, geometry, n_max, options)\n"
+            "      in lightmatter._spectra, len(lightmatter._spectra))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(key),
+                              capture_output=True, env={**child_env(), "PYTHONHASHSEED": child_seed},
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        name_hash, found, entries = proc.stdout.decode().split()
+        assert int(name_hash) != hash(material.name)  # the child salts str hashes otherwise
+        assert (found, entries) == ("True", "1")
