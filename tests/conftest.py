@@ -35,7 +35,7 @@ def child_env() -> dict:
 
 @functools.cache
 def golden_generator():
-    """``tests/golden/make_golden.py`` loaded as a module, once per session."""
+    """``tests/golden/make_golden.py`` loaded as a module, once per test run."""
     path = Path(__file__).resolve().parent / "golden" / "make_golden.py"
     spec = importlib.util.spec_from_file_location("make_golden", path)
     module = importlib.util.module_from_spec(spec)
