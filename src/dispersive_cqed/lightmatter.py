@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 import threading
 import warnings
 from bisect import bisect_left
@@ -45,6 +44,7 @@ from .modes import (
     Mode,
     ResonatorGeometry,
     _eval_segments,
+    _gap_straddle_message,
     _mode_matrix,
     _stack,
     _with_eigenfrequencies,
@@ -377,10 +377,14 @@ class _ModalSpectrum:
     ``n_below``.  ``resonances`` lists every dispersive and bare frequency in
     increasing order, for :func:`_check_resonances`.  ``stack`` holds the
     spatial data of the modes as ``modes._eval_segments`` takes it.
+    ``restarted`` holds the k_n of each mode whose solve made a gap-edge
+    restart: a solve restarts at most once, so exactly those whose bare and
+    dispersive frequencies lie on opposite sides of the gap (by the solver's
+    test: strictly above it or not).
 
-    ``position`` is the memo entry's one slot for :func:`_position_constants`:
+    ``position`` is the spectrum's one slot for :func:`_position_constants`:
     a one-element list holding ((x_q, dipole_prefactor), constants) of the
-    latest report, replaced whole on a miss; None for a spectrum not memoised.
+    latest report, replaced whole on a miss.
     """
 
     lossless: tuple[Mode, ...]
@@ -392,14 +396,17 @@ class _ModalSpectrum:
     n_below: int
     resonances: list[float]
     stack: tuple[np.ndarray, np.ndarray, np.ndarray]
-    position: list | None = None
+    restarted: tuple[float, ...]
+    position: list
 
 
 # (material, geometry, n_max, options) -> _ModalSpectrum, least recently used first.
-# The lock also guards each entry's position slot, and keeps the warning
-# capture of a solve to one thread at a time.
+# The lock also guards _newest and each entry's position slot; no solve runs under it.
 _spectra: OrderedDict = OrderedDict()
 _spectra_lock = threading.Lock()
+# The last entry's spectrum: a hit on it skips move_to_end, which hashes the key
+# again (as reading an OrderedDict's last key would).
+_newest = None
 
 
 def _solve_spectrum(
@@ -410,9 +417,12 @@ def _solve_spectrum(
     poles = tuple(_pole_constants(m, material, geometry) for m in dispersive)
     below_gap = np.array([material.reduced(m.omega_n.nu) < 2.0 for m in lossless])
     nu, nu_bare = _frequencies(dispersive), _frequencies(lossless)
+    nus, bares, gap = nu.tolist(), nu_bare.tolist(), material.gap_frequency
+    restarted = tuple(m.k_n for m, f, f_bare in zip(lossless, nus, bares)
+                      if (f > gap) != (f_bare > gap))
     return _ModalSpectrum(lossless, dispersive, poles, nu, nu_bare, below_gap,
-                          int(below_gap.sum()), sorted(nu.tolist() + nu_bare.tolist()),
-                          _stack(lossless))
+                          int(below_gap.sum()), sorted(nus + bares),
+                          _stack(lossless), restarted, [(None, None)])
 
 
 def _check_resonances(omega_q: float, spectrum: _ModalSpectrum) -> None:
@@ -431,44 +441,36 @@ def _check_resonances(omega_q: float, spectrum: _ModalSpectrum) -> None:
         _check_resonance(omega_q, spectrum.nu_bare)
 
 
-def _reissue(caught) -> None:
-    """Issue recorded warnings again, attributed to the module that raised them,
-    so that filters naming a module still apply."""
-    modules = {getattr(m, "__file__", None): name for name, m in list(sys.modules.items())}
-    for w in caught:
-        warnings.warn_explicit(
-            w.message, w.category, w.filename, w.lineno, module=modules.get(w.filename)
-        )
-
-
 def _modal_spectrum(
     material: Material, geometry: ResonatorGeometry, n_max: int, options: FixedPointOptions
 ) -> _ModalSpectrum:
     """The device's modal spectrum, solved on the first request and then reused.
 
-    A solve that warned (a GapStraddle restart) is not kept, so its warnings
-    are issued again on every call: they are recorded during the solve and
-    re-issued after it.
+    A hit issues again the GapStraddle warnings of its solve, one per
+    ``restarted`` mode, from the solver's module (filters naming it apply).
+    Solves run outside the lock; concurrent solvers of one device keep the
+    first spectrum stored.
     """
+    global _newest
     key = (material, geometry, operator.index(n_max), options)
     with _spectra_lock:
         spectrum = _spectra.get(key)
-        if spectrum is not None:
+        if spectrum is not None and spectrum is not _newest:
             _spectra.move_to_end(key)
-            return spectrum
-        caught = []
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", GapStraddle)
-                spectrum = _solve_spectrum(material, geometry, n_max, options)
-        finally:
-            _reissue(caught)
-        if not caught:
-            spectrum = replace(spectrum, position=[(None, None)])
-            _spectra[key] = spectrum
+            _newest = spectrum
+    if spectrum is None:
+        solved = _solve_spectrum(material, geometry, n_max, options)
+        with _spectra_lock:
+            spectrum = _newest = _spectra.setdefault(key, solved)
+            _spectra.move_to_end(key)
             if len(_spectra) > _SPECTRUM_MEMO_SIZE:
                 _spectra.popitem(last=False)
         return spectrum
+    for k_n in spectrum.restarted:  # from the function whose solves warned, without a registry
+        code = _with_eigenfrequencies.__code__
+        warnings.warn_explicit(_gap_straddle_message(k_n), GapStraddle, code.co_filename,
+                               code.co_firstlineno, module=_with_eigenfrequencies.__module__)
+    return spectrum
 
 
 def _position_constants(spectrum: _ModalSpectrum, geometry: ResonatorGeometry,
@@ -481,18 +483,15 @@ def _position_constants(spectrum: _ModalSpectrum, geometry: ResonatorGeometry,
     (x_q, dipole_prefactor): a scan of omega_q at one position reuses them.
     """
     key = (qubit.x_q, qubit.dipole_prefactor)
-    slot = spectrum.position
-    if slot is not None:
-        last_key, constants = slot[0]  # one read of a pair that is replaced whole
-        if last_key == key:
-            return constants
+    last_key, constants = spectrum.position[0]  # one read of a pair that is replaced whole
+    if last_key == key:
+        return constants
     at_qubit = _eval_segments(np.array([qubit.x_q]), *spectrum.stack, geometry)[:, 0]
     psi = at_qubit * _amplitude_scale(geometry)
     constants = (_term_constants(spectrum.poles, psi.tolist(), qubit.dipole_prefactor),
                  spectrum.nu_bare * psi**2)
-    if slot is not None:
-        with _spectra_lock:
-            slot[0] = key, constants
+    with _spectra_lock:
+        spectrum.position[0] = key, constants
     return constants
 
 

@@ -336,6 +336,12 @@ class FixedPointOptions:
 _GAP_RESTART_OFFSET = 1e-3
 
 
+def _gap_straddle_message(k_n: float) -> str:
+    """Text of the GapStraddle warning of a solve that restarted, for wave number k_n."""
+    return (f"fixed-point iterate crossed the gap edge at k={k_n:.6g}; "
+            "restarting from the across-gap side")
+
+
 def _omega_n_sq(k, omega, z_s, geometry: ResonatorGeometry):
     """omega_n^2 = (k^2 + i g omega c Z_s) / (ell_m c) in (rad/s)^2.
 
@@ -427,12 +433,7 @@ def fixed_point_eigenfrequency(
                 raise NoConvergence(
                     "fixed-point iterate re-crossed the gap edge", residual_history=residuals
                 )
-            warnings.warn(
-                f"fixed-point iterate crossed the gap edge at k={k_n:.6g}; "
-                "restarting from the across-gap side",
-                GapStraddle,
-                stacklevel=2,
-            )
+            warnings.warn(_gap_straddle_message(k_n), GapStraddle, stacklevel=2)
             restarted = True
             side0 = not side0
             if side0:

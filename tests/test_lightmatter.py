@@ -631,22 +631,39 @@ class TestSpectrumMemo:
         assert second.modes == modes
         np.testing.assert_array_equal(second.below_gap, mask)
 
-    def test_restarting_solve_warns_on_every_call(self, memo):
-        # The gap sits just under mode 1's bare frequency, and the red shift
-        # pulls the mode across it: one GapStraddle restart per solve.
+    @staticmethod
+    def _restarting_device():
+        """The gap sits just under mode 1's bare frequency, and the red shift
+        pulls the mode across it: one GapStraddle restart per solve."""
         geo = make_geometry()
         f1 = resonator_modes(geo, 1)[0].omega_n.nu
-        material = aluminum(CALIBRATED_A, gap_frequency=0.999 * f1)
-        for omega_q in (3.0, 3.5):
-            with pytest.warns(GapStraddle):
+        return aluminum(CALIBRATED_A, gap_frequency=0.999 * f1), geo
+
+    def test_restarting_solve_warns_on_every_call(self, memo, impedance_calls):
+        material, geo = self._restarting_device()
+        seen = []
+        for omega_q in (3.0, 3.5, 3.7):
+            impedance_calls.clear()
+            with pytest.warns(GapStraddle) as record:
                 lamb_shift_report(QubitParams(omega_q, 0.0), material, geo, 3)
-        assert len(memo) == 0
-        # Re-issued from the solver's module, so a filter naming it still applies.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            warnings.filterwarnings("ignore", category=GapStraddle, module="dispersive_cqed")
-            lamb_shift_report(QubitParams(4.0, 0.0), material, geo, 3)
-        assert caught == []
+            seen.append(([(w.category, str(w.message)) for w in record
+                          if issubclass(w.category, GapStraddle)], len(impedance_calls)))
+        assert len(memo) == 1
+        # Solved once; each hit warns as the solve did, with no impedance call.
+        (warned, solved), *hits = seen
+        assert solved > 0 and len(warned) == 1
+        assert hits == [(warned, 0)] * 2
+        # Issued from the solver's module, so a filter naming it still applies,
+        # on a hit and on a miss.
+        for hit in (True, False):
+            if not hit:
+                memo.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                warnings.filterwarnings("ignore", category=GapStraddle, module="dispersive_cqed")
+                lamb_shift_report(QubitParams(4.0, 0.0), material, geo, 3)
+            assert caught == []
+        assert len(memo) == 1
 
     def test_memo_never_grows_past_its_bound(self, memo):
         geo, qubit = make_geometry(), QubitParams(5.0, 0.0)
@@ -655,18 +672,36 @@ class TestSpectrumMemo:
             lamb_shift_report(qubit, aluminum(0.0), geo, n_max)
             assert len(memo) <= bound
         assert [key[2] for key in memo] == list(range(5, bound + 5))  # oldest went first
+        # Hits of the newest entry, of older ones and misses interleaved: the
+        # order equals an LRU's that reorders on every hit.
+        model = OrderedDict.fromkeys(range(5, bound + 5))
+        rng = np.random.default_rng(13)
+        for n_max in [bound + 4, bound + 4, 5, 5, 1, 6, 5] + rng.integers(
+                1, bound + 12, 120).tolist():
+            lamb_shift_report(qubit, aluminum(0.0), geo, n_max)
+            model[n_max] = None
+            model.move_to_end(n_max)
+            if len(model) > bound:
+                model.popitem(last=False)
+            assert [key[2] for key in memo] == list(model)
 
+    @pytest.mark.filterwarnings("ignore::dispersive_cqed.errors.GapStraddle")
     def test_concurrent_reports_past_the_bound(self, memo):
         # Four threads cycle through more devices than the memo holds, so
-        # hits, stores, evictions and the warning capture of solves interleave;
-        # overlapping captures would leave the process's warning state altered.
-        # Each thread puts its qubit elsewhere, so the position slots of the
-        # shared spectra are replaced and read from all four.
-        geo, material = make_geometry(), aluminum(0.0)
-        sizes = range(1, lightmatter._SPECTRUM_MEMO_SIZE + 9)
+        # hits, stores, evictions, solves outside the lock and the warnings
+        # of a restarting device (solved or re-issued on a hit) interleave;
+        # the process's warning state must come out unaltered.  Each thread
+        # puts its qubit elsewhere, so the position slots of the shared
+        # spectra are replaced and read from all four.
+        geo, lossless = make_geometry(), aluminum(0.0)
+        restarting, _ = self._restarting_device()
+        devices = [(lossless, n) for n in range(1, lightmatter._SPECTRUM_MEMO_SIZE + 9)]
+        devices[3::8] = [(restarting, 3)] * 3  # every eighth device restarts
         positions = [k * geo.length / 3 for k in range(4)]
-        expected = {(n, x): lamb_shift_report(QubitParams(5.0, x), material, geo, n).totals
-                    for n in sizes for x in positions}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GapStraddle)
+            expected = {((m, n), x): lamb_shift_report(QubitParams(5.0, x), m, geo, n).totals
+                        for m, n in devices for x in positions}
         memo.clear()
         failures = []
         filters, showwarning = list(warnings.filters), warnings.showwarning
@@ -675,9 +710,9 @@ class TestSpectrumMemo:
             x_q = positions[offset]
             try:
                 for i in range(60):
-                    n = sizes[(7 * i + offset) % len(sizes)]
+                    material, n = devices[(7 * i + offset) % len(devices)]
                     got = lamb_shift_report(QubitParams(5.0, x_q), material, geo, n).totals
-                    if got != expected[n, x_q]:
+                    if got != expected[(material, n), x_q]:
                         failures.append((n, x_q, got))
             except Exception as exc:  # reported below, in the test thread
                 failures.append(exc)

@@ -352,7 +352,10 @@ class TestNearGap:
     def test_every_solve_returns_a_root_or_a_typed_error(self):
         # 600 solves on gap_00p6um: the gap at (1 +- d) times the bare
         # frequency of modes 1, 6, 15 and 26 for 25 offsets d in [1e-7, 1e-1],
-        # at 0.1x, 1x and 10x the calibrated prefactor.
+        # at 0.1x, 1x and 10x the calibrated prefactor.  A solve restarts at
+        # most once, so it warned exactly where its root and its bare
+        # frequency lie on opposite sides of the gap: the test the modal
+        # spectrum uses to re-issue the warnings of a memo hit.
         run = load_run_config(bundled_geometry_configs()[0])
         geo, base = run.geometry, run.material
         ks = secular_roots(geo, 26)
@@ -374,8 +377,11 @@ class TestNearGap:
                 except DispersiveCqedError:
                     continue
                 finally:
-                    straddles += sum(issubclass(w.category, GapStraddle) for w in caught)
+                    warned = sum(issubclass(w.category, GapStraddle) for w in caught)
+                    straddles += warned
             solved += 1
+            gap = material.gap_frequency
+            assert warned == ((om.nu > gap) != (geo.bare_frequency_ghz(k) > gap))
             assert math.isfinite(om.nu) and math.isfinite(om.kappa)
             if om.nu < material.gap_frequency:
                 assert om.kappa == 0.0
