@@ -16,12 +16,10 @@ convergence comparison.
 import argparse
 import math
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
 from dispersive_cqed.cli import bundled_geometry_configs, load_run_config
-from dispersive_cqed.errors import GapStraddle
 from dispersive_cqed.lightmatter import coupling_strength, lamb_shift_report
 from dispersive_cqed.modes import resonator_modes
 
@@ -42,10 +40,7 @@ def main(argv=None) -> int:
     material, geometry, qubit = run.material, run.geometry, run.qubit
     lossless = replace(material, impedance_prefactor=0.0)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", GapStraddle)
-        report = lamb_shift_report(qubit, material, geometry, args.n_max, run.solver)
-    restarts = sum(issubclass(w.category, GapStraddle) for w in caught)
+    report = lamb_shift_report(qubit, material, geometry, args.n_max, run.solver)
     bare = resonator_modes(geometry, args.n_max)  # only for the dispersionless couplings
 
     mode_lines = [
@@ -58,7 +53,7 @@ def main(argv=None) -> int:
         bare, report.modes, report.per_mode_terms, report.comparator_terms, report.below_gap
     )
     for mode_bare, mode_disp, term, cc, bare_below in rows:
-        below = material.reduced(mode_disp.omega_n.nu) < 2.0
+        below = not material.above_gap(mode_disp.omega_n.nu)
         g_disp = coupling_strength(mode_disp, qubit, material, geometry) if below else math.nan
         g_cc = coupling_strength(mode_bare, qubit, lossless, geometry) if bare_below else math.nan
         mode_lines.append(
@@ -86,7 +81,7 @@ def main(argv=None) -> int:
     conv_path = out_dir / f"{path.stem}.convergence.csv"
     modes_path.write_text("\n".join(mode_lines) + "\n", newline="\n")
     conv_path.write_text("\n".join(conv_lines) + "\n", newline="\n")
-    print(f"{path.stem}: gap restarts = {restarts}", file=sys.stderr)
+    print(f"{path.stem}: gap restarts = {len(report.restarted)}", file=sys.stderr)
     print(f"wrote {modes_path} and {conv_path}", file=sys.stderr)
     return 0
 

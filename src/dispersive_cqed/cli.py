@@ -459,7 +459,7 @@ def _cmd_modes(run: RunConfig, args: argparse.Namespace) -> list[Table]:
     except DispersiveCqedError as exc:
         return _fail(table, [0, math.nan, math.nan, math.nan, "NA", 0], exc)
     for mode in modes:
-        below = material.reduced(mode.omega_n.nu) < 2.0
+        below = not material.above_gap(mode.omega_n.nu)
         if below:
             g_n = coupling_strength(mode, qubit, material, geometry)
             g_cell: float | str = float(np.real(g_n))
@@ -474,7 +474,9 @@ def _cmd_modes(run: RunConfig, args: argparse.Namespace) -> list[Table]:
 def _cmd_spectral_density(run: RunConfig, args: argparse.Namespace) -> list[Table]:
     _require(run, "spectral-density", "material", "geometry", "qubit")
     material, geometry, qubit = run.material, run.geometry, run.qubit
-    freqs = _parse_range(args.freq, "freq", minimum=material.gap_frequency)
+    freqs = _parse_range(args.freq, "freq")
+    if not material.above_gap(low := freqs.min()):  # the rule is monotone in f
+        raise ConfigError(f"freq values must exceed {material.gap_frequency}, got minimum {low}")
     table = Table(
         name="spectral_density",
         columns=["omega_GHz", "J"],

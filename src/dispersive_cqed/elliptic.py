@@ -38,6 +38,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import (
+    BranchCut,
     BranchPointOnPath,
     DomainError,
     NonConvergence,
@@ -625,21 +626,27 @@ def _incomplete(z: complex, k: complex, method: str, f: bool, e: bool):
     Carlson forms from one (R_F, R_D) loop, with R_D only if E is asked for:
     F = -s z R_F(1 - z^2, 1 - k^2 z^2, 1) with the sign s of
     :func:`_branch_sign`, and E = z R_F - (k^2 z^3/3) R_D, which needs no
-    sign.  Where no sign can be read it integrates by quadrature too.
+    sign.  Where no sign can be read it integrates by quadrature too.  F with
+    k != 0, Im z^2 != 0 and Im k^2 z^2 = 0 raises BranchCut before any panel.
     """
     if method not in ("auto", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
     z, k = complex(z), complex(k)
     if z == 0:
         return (0.0j if f else None), (0.0j if e else None)
-    terminal = _guard_path(z, k) is not None
+    terminal = _guard_path(z, k)
+    zz = z * z
+    if f and k != 0 and zz.imag != 0.0 and (k * k * zz).imag == 0.0:
+        raise BranchCut(f"first-kind integrand lies on its branch cut along 0 -> {z} (k={k})")
     s = _branch_sign(z, k) if method == "auto" else 0
     if s == 0:
+        if terminal not in (None, z):
+            raise BranchPointOnPath(f"path 0 -> {z} ends next to branch point {terminal} (k={k})")
+        singular = terminal == z
         return (
-            _incomplete_quadrature(_defining_f_integrand(k), z, terminal, 1e-12) if f else None,
-            _incomplete_quadrature(_defining_e_integrand(k), z, terminal, 1e-12) if e else None,
+            _incomplete_quadrature(_defining_f_integrand(k), z, singular, 1e-12) if f else None,
+            _incomplete_quadrature(_defining_e_integrand(k), z, singular, 1e-12) if e else None,
         )
-    zz = z * z
     rf, rd = _carlson(1.0 - zz, 1.0 - k * k * zz, 1.0, True, e and k != 0)
     f_val = e_val = None
     if f:
@@ -658,12 +665,14 @@ def ellip_incomplete_f(z: complex, k: complex, method: str = "auto") -> complex:
     straight path 0 -> z.  The Carlson form -z*R_F(1-z^2, 1-k^2 z^2, 1)
     equals the defining value up to the sign sgn Im(z^2) * sgn Im(k^2 z^2)
     (the second factor +1 when k = 0).  ``"auto"`` (default) returns the
-    Carlson form times that sign, and integrates by quadrature where no sign
-    can be read: Im(z^2) = 0, or Im(k^2 z^2) = 0 with k != 0, which includes
-    every path that ends on a cut of the Carlson arguments.
+    Carlson form times that sign, and integrates by quadrature where
+    Im(z^2) = 0.  Where only Im(k^2 z^2) = 0 with k != 0 (so every other path
+    that ends on a cut of the Carlson arguments), the literal integrand lies
+    on its cut along the whole path, and both methods raise :class:`BranchCut`.
 
     Raises :class:`BranchPointOnPath` if the open path hits +-1 or +-1/k;
-    a terminal point *at* a branch point is admissible (integrable).
+    a terminal point *at* a branch point is admissible (integrable), but
+    quadrature refuses one that is only within 1e-9 of it.
     """
     return _incomplete(z, k, method, True, False)[0]
 

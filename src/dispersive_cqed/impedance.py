@@ -107,6 +107,10 @@ class Material:
         """Reduced frequency 2 f / f_gap; complex frequencies map component-wise."""
         return 2.0 * frequency_ghz / self.gap_frequency
 
+    def above_gap(self, frequency_ghz: complex) -> bool:
+        """Whether f (GHz) lies above the gap: 2 Re f / f_gap > 2, so the edge is below."""
+        return 2.0 * float(frequency_ghz.real) / self.gap_frequency > 2.0
+
 
 # Literature-default gap frequencies (2*Delta/h).  These are *defaults*: any
 # serious comparison should override them with measured film values, and the
@@ -217,11 +221,10 @@ def epsilon(
         value = complex(1.0 + g_geom * z_s.imag / (float(omega.real) * ell_m), 0.0)
     else:
         value = 1.0 + g_geom * z_s / (1j * omega * ell_m)
-        if 2.0 * float(frequency_ghz.real) / material.gap_frequency > 2.0:
-            if value.imag > 0.0 and float(frequency_ghz.imag) == 0.0:
-                raise DomainError(
-                    f"above-gap epsilon acquired a gain-like sign: {value} at {frequency_ghz} GHz"
-                )
+        if value.imag > 0.0 and frequency_ghz.imag == 0.0 and material.above_gap(frequency_ghz):
+            raise DomainError(
+                f"above-gap epsilon acquired a gain-like sign: {value} at {frequency_ghz} GHz"
+            )
     return value
 
 
@@ -246,7 +249,6 @@ def _real_part_on_grid(material: Material, nu_grid: np.ndarray) -> np.ndarray:
 def kk_parts(
     material: Material,
     probe_frequency_ghz: float,
-    grid: np.ndarray | None = None,
     *,
     f_max_ghz: float | None = None,
     n_grid: int = 4001,
@@ -267,22 +269,18 @@ def kk_parts(
     roughly halves the residual.
 
     The relation is scale invariant, so everything is computed in reduced
-    units.  A uniform grid of frequencies in GHz may be supplied; otherwise
-    one spanning [0, f_max_ghz] (default 50x the gap frequency) is built.
+    units.  The grid is ``n_grid`` (at least 16) uniformly spaced frequencies
+    spanning [0, f_max_ghz] GHz; f_max_ghz defaults to 50x the gap frequency,
+    the least extent accepted.
     """
     if probe_frequency_ghz <= 0.0:
         raise DomainError(f"probe frequency must be positive, got {probe_frequency_ghz}")
-    if grid is None:
-        if f_max_ghz is None:
-            f_max_ghz = 50.0 * material.gap_frequency
-        grid = np.linspace(0.0, f_max_ghz, n_grid)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 16:
-        raise DomainError("grid must be a 1-D array with at least 16 points")
-    spacing = np.diff(grid)
-    h = spacing[0]
-    if h <= 0.0 or not np.allclose(spacing, h, rtol=1e-8):
-        raise DomainError("grid must be uniformly spaced and increasing")
+    if f_max_ghz is None:
+        f_max_ghz = 50.0 * material.gap_frequency
+    if not math.isfinite(f_max_ghz) or n_grid < 16:
+        raise DomainError(f"need a finite f_max_ghz and n_grid >= 16, got {f_max_ghz}, {n_grid}")
+    grid = np.linspace(0.0, f_max_ghz, n_grid)
+    h = grid[1] - grid[0]
     if grid[-1] < 50.0 * material.gap_frequency * (1.0 - 1e-9):
         raise GridTooCoarse("grid must extend to at least 50x the gap frequency")
 
@@ -376,7 +374,6 @@ def _relative_residual(lhs: float, rhs: float) -> float:
 def kk_residual(
     material: Material,
     probe_frequency_ghz: float,
-    grid: np.ndarray | None = None,
     *,
     f_max_ghz: float | None = None,
     n_grid: int = 4001,
@@ -387,7 +384,7 @@ def kk_residual(
     if only the direct side vanishes.
     """
     return _relative_residual(
-        *kk_parts(material, probe_frequency_ghz, grid, f_max_ghz=f_max_ghz, n_grid=n_grid)
+        *kk_parts(material, probe_frequency_ghz, f_max_ghz=f_max_ghz, n_grid=n_grid)
     )
 
 
@@ -410,7 +407,7 @@ def calibrate_prefactor(
     if not (0.0 < red_shift < 0.5):
         raise DomainError(f"red_shift must be in (0, 0.5), got {red_shift}")
     f_target = (1.0 - red_shift) * f0_bare_ghz
-    if material.reduced(f_target) >= 2.0:
+    if material.above_gap(f_target):
         raise DomainError("calibration target frequency must sit below the gap")
     eps_target = 1.0 / (1.0 - red_shift) ** 2
     probe = replace(material, impedance_prefactor=1.0)

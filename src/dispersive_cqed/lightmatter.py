@@ -99,7 +99,7 @@ class LambShiftReport:
     bare frequency (MHz) and ``below_gap`` flags the modes whose bare
     frequency lies below the gap.  ``normalized_curve[M-1]`` is Re(sum of
     first M terms) / Re(total); ``convergence_index_70pct`` is the smallest M
-    with normalized >= 0.70.
+    with normalized >= 0.70; ``restarted`` holds the k_n of the gap-restarted modes.
     """
 
     per_mode_terms: np.ndarray
@@ -110,6 +110,7 @@ class LambShiftReport:
     modes: list[Mode]
     comparator_terms: np.ndarray
     below_gap: np.ndarray
+    restarted: tuple[float, ...]
 
     def convergence_curves(self) -> dict[str, np.ndarray]:
         """Normalized convergence curves of the three models, keyed like the totals.
@@ -168,7 +169,7 @@ def coupling_strength(
     """
     _check_position(qubit, geometry)
     nu_ghz = mode.omega_n.nu
-    if material.reduced(nu_ghz) >= 2.0:
+    if material.above_gap(nu_ghz):
         raise AboveGapMode(
             f"mode at {nu_ghz} GHz is above the gap ({material.gap_frequency} GHz); "
             "use spectral_density for the continuum response"
@@ -196,7 +197,7 @@ def spectral_density(
     refuses probe frequencies at or below the gap edge.
     """
     _check_position(qubit, geometry)
-    if omega_ghz <= material.gap_frequency:
+    if not material.above_gap(omega_ghz):
         raise DomainError(
             f"spectral density is defined above the gap ({material.gap_frequency} GHz); "
             f"got {omega_ghz} GHz"
@@ -379,8 +380,8 @@ class _ModalSpectrum:
     spatial data of the modes as ``modes._eval_segments`` takes it.
     ``restarted`` holds the k_n of each mode whose solve made a gap-edge
     restart: a solve restarts at most once, so exactly those whose bare and
-    dispersive frequencies lie on opposite sides of the gap (by the solver's
-    test: strictly above it or not).
+    dispersive frequencies lie on opposite sides of the gap by
+    ``Material.above_gap``, the rule the solver and the impedance use.
 
     ``position`` is the spectrum's one slot for :func:`_position_constants`:
     a one-element list holding ((x_q, dipole_prefactor), constants) of the
@@ -415,11 +416,11 @@ def _solve_spectrum(
     lossless = tuple(resonator_modes(geometry, n_max))
     dispersive = tuple(_with_eigenfrequencies(lossless, material, geometry, options))
     poles = tuple(_pole_constants(m, material, geometry) for m in dispersive)
-    below_gap = np.array([material.reduced(m.omega_n.nu) < 2.0 for m in lossless])
     nu, nu_bare = _frequencies(dispersive), _frequencies(lossless)
-    nus, bares, gap = nu.tolist(), nu_bare.tolist(), material.gap_frequency
+    nus, bares = nu.tolist(), nu_bare.tolist()
+    below_gap = np.array([not material.above_gap(f_bare) for f_bare in bares])
     restarted = tuple(m.k_n for m, f, f_bare in zip(lossless, nus, bares)
-                      if (f > gap) != (f_bare > gap))
+                      if material.above_gap(f) != material.above_gap(f_bare))
     return _ModalSpectrum(lossless, dispersive, poles, nu, nu_bare, below_gap,
                           int(below_gap.sum()), sorted(nus + bares),
                           _stack(lossless), restarted, [(None, None)])
@@ -543,6 +544,7 @@ def lamb_shift_report(
         modes=list(spectrum.dispersive),
         comparator_terms=cc_terms,
         below_gap=spectrum.below_gap.copy(),
+        restarted=spectrum.restarted,
     )
 
 

@@ -139,24 +139,17 @@ def _segment_breaks(geometry: ResonatorGeometry) -> np.ndarray:
 def secular_value(k, geometry: ResonatorGeometry):
     """Pole-free secular function whose positive zeros are the wave numbers.
 
-    For a single load the closed form is
-    ``sin(kL) + k (C_s/c) cos(k x_q) cos(k (L - x_q))``; in general the same
-    quantity is the relevant entry of the 2x2 transfer matrix propagating
+    It is the slope entry of the 2x2 transfer matrix that propagates
     (Psi, Psi'/k) from the x=0 Neumann condition through every capacitive
-    jump to x=L (the two agree identically; the closed form is kept for the
-    common case).  Accepts scalar or ndarray ``k``.
+    jump to x=L, for any number of loads; for a single load it equals
+    ``sin(kL) + k (C_s/c) cos(k x_q) cos(k (L - x_q))`` up to roundoff.
+    Accepts scalar or ndarray ``k``.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0.0):
         raise DomainError("secular_value requires k > 0")
     L = geometry.length
     c = geometry.c_per_len
-    if len(geometry.qubits) == 1:
-        q = geometry.qubits[0]
-        out = np.sin(k * L) + k * (q.c_series / c) * np.cos(k * q.position) * np.cos(
-            k * (L - q.position)
-        )
-        return out if out.ndim else float(out)
     u = np.ones_like(k)
     v = np.zeros_like(k)
     x_prev = 0.0
@@ -385,13 +378,13 @@ def fixed_point_eigenfrequency(
     k_n v); the fixed point must not depend on it.
 
     Warns GapStraddle and restarts from just across the gap if an iterate
-    crosses the pair-breaking edge; a second crossing raises NoConvergence.
+    changes side by ``Material.above_gap``; a second change raises NoConvergence.
     So does an iterate the impedance refuses (DomainError), as where rhs < 0
     below the gap sends the next one off the real axis; its residual history
     keeps the residuals from before a restart too.  A refused starting point
     raises the DomainError itself.
     """
-    gap_rad = material.gap_frequency * _TWO_PI_GHZ  # reduced nu = 2 in rad/s
+    gap_rad = material.gap_frequency * _TWO_PI_GHZ  # reduced nu = 2 in rad/s, for restart seeds
     if seed_ghz is None:
         omega = complex(k_n * geometry.bare_velocity)
     else:
@@ -401,11 +394,7 @@ def fixed_point_eigenfrequency(
     residuals: list[float] = []
     before_restart: list[float] = []
     restarted = False
-
-    def _side(w: complex) -> bool:
-        return w.real > gap_rad
-
-    side0 = _side(omega)
+    side0 = material.above_gap(omega / _TWO_PI_GHZ)  # the value the impedance is handed
     for step in range(options.max_iter):
         try:
             rhs = _dispersion_rhs(omega, k_n, material, geometry)
@@ -428,7 +417,7 @@ def fixed_point_eigenfrequency(
         if target.real < 0.0:
             target = -target
         omega_new = 0.5 * omega + 0.5 * target
-        if _side(omega_new) != side0:
+        if material.above_gap(omega_new / _TWO_PI_GHZ) != side0:
             if restarted:
                 raise NoConvergence(
                     "fixed-point iterate re-crossed the gap edge", residual_history=residuals
@@ -603,9 +592,8 @@ def greens_identity_residual(
     residual is pure roundoff; a smaller ``n_max`` isolates the truncation
     tail of the right side, which is how convergence in mode count is probed.
     """
-    nu = 2.0 * omega_ghz / material.gap_frequency
-    if nu <= 2.0:
-        raise DomainError(f"probe must lie above the gap, got reduced {nu}")
+    if not material.above_gap(omega_ghz):
+        raise DomainError(f"probe must lie above the gap, got {omega_ghz} GHz")
     if n_max is None:
         n_max = len(modes)
     if not (1 <= n_max <= len(modes)):

@@ -319,6 +319,16 @@ class TestModes:
                 float(r[4])  # numeric coupling
             else:
                 assert r[4] == "NA"
+        # The gap exactly at mode 15's bare frequency (reduced 2): the mode at
+        # the edge counts as below it, as the impedance and the spectrum say.
+        edge = float(resonator_modes(load_run_config(path).geometry, 15)[-1].omega_n.nu)
+        cfg = base_config(impedance_prefactor=0.0)
+        cfg["material"] = {"gap_frequency": edge, "limit_regime": "extreme_anomalous",
+                           "impedance_prefactor": 0.0}
+        assert run_cli(["modes", "--config", write_config(tmp_path, cfg)]) == 0
+        rows = parse_csv(capsys.readouterr().out)[2]
+        assert [int(r[5]) for r in rows] == [1] * 15 + [0]
+        float(rows[14][4])  # numeric coupling
 
     def test_calibrated_below_gap_modes_lossless_but_shifted(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(n_max=14, impedance_prefactor=0.0))

@@ -25,6 +25,7 @@ from dispersive_cqed.elliptic import (
     endpoint_regularized,
 )
 from dispersive_cqed.errors import (
+    BranchCut,
     BranchPointOnPath,
     DispersiveCqedError,
     DomainError,
@@ -368,6 +369,22 @@ class TestIncomplete:
         with pytest.raises(BranchPointOnPath):
             ellip_incomplete_e(3.0, 0.5)  # path crosses x = 1 and x = 2
 
+    @pytest.mark.parametrize("z, k", [(1.0 + 2.2e-16j, 0.0), (1.0 + 2.2e-308j, 1.0),
+                                      (1.0 - 1e-10, 0.5)])
+    def test_end_point_next_to_a_branch_point_refused_by_quadrature(self, z, k):
+        # Within the guard's 1e-9 of a branch point but not on it, the
+        # quadrature cannot resolve the integrand: it was off by 2.1e-8 at
+        # (1 + 2.2e-16j, 0), and returned 1.2e291 at (1 + 2.2e-308j, 1).
+        # Where a sign can be read, the Carlson form still answers.
+        for fn in (ellip_incomplete_f, ellip_incomplete_e):
+            with pytest.raises(BranchPointOnPath):
+                fn(z, k, method="quadrature")
+            if (complex(z) ** 2).imag != 0.0:
+                assert math.isfinite(abs(fn(z, k)))
+            else:
+                with pytest.raises(BranchPointOnPath):
+                    fn(z, k)
+
     def test_relation_to_legendre_form_at_unit_amplitude(self):
         # First kind in this convention vs the Legendre integrand differ by
         # the constant factor (sqrt(x^2-1) = i sqrt(1-x^2), sqrt(k^2x^2-1) =
@@ -531,8 +548,8 @@ class TestBranchRule:
             slack = 0.0
             try:
                 want = fn(z, k, method="quadrature")
-            except BranchPointOnPath:
-                with pytest.raises(BranchPointOnPath):
+            except (BranchPointOnPath, BranchCut) as exc:
+                with pytest.raises(type(exc)):
                     fn(z, k)
                 continue
             except NonConvergence as exc:
@@ -564,11 +581,24 @@ class TestBranchRule:
         (0.5, 0.3), (complex(0.5, -0.0), 0.3), (0.5j, 0.3), (0.3 + 0.3j, 1.0 - 1.0j),
         (1.0, 0.5),
     ])
-    def test_unreadable_sign_falls_back_to_quadrature(self, z, k):
+    def test_unreadable_sign_falls_back_to_quadrature(self, monkeypatch, z, k):
         # Im z^2 = 0, or Im k^2 z^2 = 0 with k != 0 (here k^2 z^2 = 0.36):
-        # the outcome is the oracle's, bit for bit.  At (0.3+0.3j, 1-1j) the
-        # first-kind integrand's sign follows the rounding of Im k^2 x^2 = 0
-        # from node to node, and both raise NonConvergence.
+        # the outcome is the oracle's, bit for bit.  At (0.3+0.3j, 1-1j)
+        # k^2 x^2 - 1 is real and negative along the whole path, on the cut of
+        # the first-kind integrand's root, whose sign then follows the rounding
+        # of Im k^2 x^2 = 0 from node to node: both methods raise BranchCut
+        # before integrating a panel (the second kind is not on a cut there).
+        import dispersive_cqed.elliptic as elliptic_module
+
+        panels = []
+        original = elliptic_module._gk15_panel
+
+        def counted(*args):
+            panels.append(args[1:])
+            return original(*args)
+
+        monkeypatch.setattr(elliptic_module, "_gk15_panel", counted)
+
         def outcome(fn, *args, **kwargs):
             try:
                 return fn(*args, **kwargs)
@@ -580,6 +610,12 @@ class TestBranchRule:
         assert outcome(_incomplete, z, k, "auto", True, True) == outcome(
             lambda: (ellip_incomplete_f(z, k), ellip_incomplete_e(z, k))
         )
+        if k != 0 and (z * z).imag != 0.0:
+            panels.clear()
+            for method in ("auto", "quadrature"):
+                assert outcome(ellip_incomplete_f, z, k, method=method) is BranchCut
+                assert outcome(_incomplete, z, k, method, True, True) is BranchCut
+            assert panels == []
 
     @pytest.mark.parametrize("z, k", [(0.6 + 0.2j, 0.5), (0.5, 0.3), (0.4 - 0.3j, 0.0)])
     def test_one_kind_asked_evaluates_only_that_kind(self, monkeypatch, z, k):

@@ -1,5 +1,7 @@
 """Surface impedance, refractive index, dispersion-relation check, calibration."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,10 +214,10 @@ class TestKramersKronig:
         al = aluminum(0.0023)
         with pytest.raises(DomainError):
             kk_residual(al, -1.0)
-        with pytest.raises(DomainError):
-            kk_residual(al, 10.0, grid=np.geomspace(1.0, 5000.0, 64))
-        with pytest.raises(DomainError):
-            kk_residual(al, 10.0, grid=np.linspace(0.0, 5000.0, 8))
+        for n_grid, f_max in ((15, None), (8, 5000.0), (4001, math.nan), (4001, math.inf)):
+            with pytest.raises(DomainError):
+                kk_residual(al, 10.0, f_max_ghz=f_max, n_grid=n_grid)
+        assert all(map(math.isfinite, kk_parts(al, 10.0, n_grid=16)))  # the smallest grid
 
     def test_grid_too_coarse_paths(self):
         al = aluminum(0.0023)
@@ -250,3 +252,6 @@ class TestCalibration:
         with pytest.raises(DomainError):
             # Shift target would land above the pair-breaking edge.
             calibrate_prefactor(aluminum(1.0), 3.0e6, ELL_M, 100.0, 0.02)
+        # A target exactly at the edge (reduced 2) counts as below it.
+        edge = aluminum(1.0, gap_frequency=(1.0 - 0.02) * 100.0)
+        assert calibrate_prefactor(edge, 3.0e6, ELL_M, 100.0, 0.02).impedance_prefactor > 0.0

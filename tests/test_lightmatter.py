@@ -27,7 +27,7 @@ from dispersive_cqed.errors import (
     QubitOnResonance,
 )
 from dispersive_cqed.cli import bundled_geometry_configs, load_run_config
-from dispersive_cqed.impedance import aluminum, calibrate_prefactor, niobium
+from dispersive_cqed.impedance import aluminum, calibrate_prefactor, niobium, surface_impedance
 from dispersive_cqed.lightmatter import (
     QubitParams,
     cc_comparator_term,
@@ -102,6 +102,11 @@ class TestCouplingStrength:
         m15 = resonator_modes(geo, 15)[-1]  # bare ~89 GHz > 87 GHz gap
         with pytest.raises(AboveGapMode):
             coupling_strength(m15, qb, aluminum(CALIBRATED_A), geo)
+        # The gap exactly at the mode (reduced 2): it counts as below, where
+        # the impedance is lossless, so g_n is real.
+        at_edge = aluminum(CALIBRATED_A, gap_frequency=m15.omega_n.nu)
+        assert surface_impedance(at_edge, m15.omega_n.nu).real == 0.0
+        assert isinstance(coupling_strength(m15, qb, at_edge, geo), float)
 
     def test_dispersive_support_red_shifted(self):
         # With the kinetic-inductance medium every below-gap mode sits at a
@@ -645,9 +650,10 @@ class TestSpectrumMemo:
         for omega_q in (3.0, 3.5, 3.7):
             impedance_calls.clear()
             with pytest.warns(GapStraddle) as record:
-                lamb_shift_report(QubitParams(omega_q, 0.0), material, geo, 3)
+                report = lamb_shift_report(QubitParams(omega_q, 0.0), material, geo, 3)
             seen.append(([(w.category, str(w.message)) for w in record
                           if issubclass(w.category, GapStraddle)], len(impedance_calls)))
+            assert len(report.restarted) == len(seen[0][0])  # the miss's warnings, as data
         assert len(memo) == 1
         # Solved once; each hit warns as the solve did, with no impedance call.
         (warned, solved), *hits = seen
@@ -664,6 +670,25 @@ class TestSpectrumMemo:
                 lamb_shift_report(QubitParams(4.0, 0.0), material, geo, 3)
             assert caught == []
         assert len(memo) == 1
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_gap_at_a_bare_frequency_warns_alike_on_miss_and_hit(self, memo, n):
+        # The gap exactly at mode n's bare frequency on gap_00p6um: the solver,
+        # the impedance and the spectrum apply one rule, under which the edge
+        # counts as below the gap, so the red-shifted mode never restarts.
+        run = load_run_config(bundled_geometry_configs()[0])
+        bare = resonator_modes(run.geometry, n)[n - 1].omega_n.nu
+        material = replace(run.material, gap_frequency=bare)
+        counts = []
+        for _ in range(2):  # a miss, then a hit
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                report = lamb_shift_report(QubitParams(4.5, run.qubit.x_q), material,
+                                           run.geometry, 13, run.solver)
+            counts.append(sum(issubclass(w.category, GapStraddle) for w in caught))
+        assert counts[0] == counts[1]
+        assert counts[0] == len(report.restarted)
+        assert report.below_gap.sum() == n  # the mode at the edge counts as below
 
     def test_memo_never_grows_past_its_bound(self, memo):
         geo, qubit = make_geometry(), QubitParams(5.0, 0.0)

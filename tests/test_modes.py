@@ -350,19 +350,21 @@ class TestNearGap:
     """Fixed points with the gap edge placed next to a bare mode frequency."""
 
     def test_every_solve_returns_a_root_or_a_typed_error(self):
-        # 600 solves on gap_00p6um: the gap at (1 +- d) times the bare
-        # frequency of modes 1, 6, 15 and 26 for 25 offsets d in [1e-7, 1e-1],
-        # at 0.1x, 1x and 10x the calibrated prefactor.  A solve restarts at
-        # most once, so it warned exactly where its root and its bare
-        # frequency lie on opposite sides of the gap: the test the modal
-        # spectrum uses to re-issue the warnings of a memo hit.
+        # 624 solves on gap_00p6um: the gap at (1 +- d) times the bare
+        # frequency of modes 1, 6, 15 and 26 for d = 0 and 25 offsets d in
+        # [1e-7, 1e-1], at 0.1x, 1x and 10x the calibrated prefactor.  A solve
+        # restarts at most once, so it warned exactly where its root and its
+        # bare frequency lie on opposite sides of the gap by
+        # Material.above_gap: the rule by which the modal spectrum repeats the
+        # warnings on a memo hit.
         run = load_run_config(bundled_geometry_configs()[0])
         geo, base = run.geometry, run.material
         ks = secular_roots(geo, 26)
         options = FixedPointOptions()
         solved = straddles = 0
         for n, scale, sign, d in itertools.product(
-            (1, 6, 15, 26), (0.1, 1.0, 10.0), (-1.0, 1.0), np.geomspace(1e-7, 1e-1, 25)
+            (1, 6, 15, 26), (0.1, 1.0, 10.0), (-1.0, 1.0),
+            [0.0, *np.geomspace(1e-7, 1e-1, 25)],
         ):
             k = ks[n - 1]
             material = replace(
@@ -380,10 +382,10 @@ class TestNearGap:
                     warned = sum(issubclass(w.category, GapStraddle) for w in caught)
                     straddles += warned
             solved += 1
-            gap = material.gap_frequency
-            assert warned == ((om.nu > gap) != (geo.bare_frequency_ghz(k) > gap))
+            above = material.above_gap(om.nu)
+            assert warned == (above != material.above_gap(geo.bare_frequency_ghz(k)))
             assert math.isfinite(om.nu) and math.isfinite(om.kappa)
-            if om.nu < material.gap_frequency:
+            if not above:
                 assert om.kappa == 0.0
             # rhs re-evaluated from the surface impedance and the dispersion
             # relation written out here; the GHz round trip of the root moves
