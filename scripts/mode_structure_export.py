@@ -7,7 +7,9 @@ Writes two tables into the results directory:
                           (dispersive and dispersionless, below the gap) and
                           the per-mode shift terms of both models
   <stem>.convergence.csv  normalized partial-sum curves of the three shift
-                          models against mode count
+                          models against mode count; an undefined curve (the
+                          below-bandgap one when every mode lies above the
+                          gap) is written as nan and noted on stderr
 
 This is the data behind mode-resolved coupling and shift plots and the
 convergence comparison.
@@ -20,6 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from dispersive_cqed.cli import bundled_geometry_configs, load_run_config
+from dispersive_cqed.errors import DomainError
 from dispersive_cqed.lightmatter import coupling_strength, lamb_shift_report
 from dispersive_cqed.modes import resonator_modes
 
@@ -62,7 +65,14 @@ def main(argv=None) -> int:
             f"{term.real:.12e},{cc:.12e}"
         )
 
-    curves = report.convergence_curves()
+    curves = {}
+    for model in ("dispersion", "below_bandgap", "no_dispersion"):
+        try:
+            curves[model] = report.convergence_curve(model)
+        except DomainError as exc:  # below_bandgap when every mode lies above the gap
+            print(f"{path.stem}: {model} curve undefined ({exc}); written as nan",
+                  file=sys.stderr)
+            curves[model] = [math.nan] * args.n_max
     conv_lines = [
         "# command: mode_structure_export",
         f"# config: {path.stem}",

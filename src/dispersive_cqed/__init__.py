@@ -44,7 +44,6 @@ from .lightmatter import (
     cc_comparator_term,
     coupling_strength,
     lamb_shift_report,
-    lamb_shift_terms,
     naive_cutoff,
     normalized_convergence,
     rescaled,
@@ -107,7 +106,6 @@ __all__ = [
     "kk_parts",
     "kk_residual",
     "lamb_shift_report",
-    "lamb_shift_terms",
     "mode_function",
     "naive_cutoff",
     "niobium",

@@ -56,8 +56,10 @@ class BracketingFailure(DispersiveCqedError, RuntimeError):
 class NoConvergence(DispersiveCqedError, RuntimeError):
     """Fixed-point iteration for a complex eigenfrequency did not settle.
 
-    ``residual_history`` holds the per-iteration update magnitudes so the
-    failure mode (oscillation vs. divergence) can be inspected.
+    ``residual_history`` holds the relative residuals |omega^2 - rhs| / |omega|^2
+    of the iterations since the last gap-edge restart (of all of them when an
+    iterate left the domain), so the failure mode (oscillation vs.
+    divergence) can be inspected.
     """
 
     def __init__(self, message: str, residual_history=None):
@@ -68,8 +70,9 @@ class NoConvergence(DispersiveCqedError, RuntimeError):
 class GapStraddle(UserWarning):
     """A mode trajectory crossed the superconducting gap during iteration.
 
-    Used as a warning category: the solver restarts from a seed just below
-    the gap and only gives up (``NoConvergence``) if the restart recrosses.
+    Used as a warning category: the solver restarts from a seed just across
+    the gap edge, on the side the iterate crossed to, and only gives up
+    (``NoConvergence``) if the restart recrosses.
     """
 
 

@@ -30,23 +30,22 @@ from __future__ import annotations
 import math
 import operator
 import threading
-import warnings
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import astuple, dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import AboveGapMode, DomainError, GapStraddle, QubitOnResonance
+from .errors import AboveGapMode, DomainError, QubitOnResonance
 from .impedance import _TWO_PI_GHZ, Material, epsilon
 from .modes import (
     FixedPointOptions,
     Mode,
     ResonatorGeometry,
     _eval_segments,
-    _gap_straddle_message,
     _mode_matrix,
     _stack,
+    _warn_gap_straddles,
     _with_eigenfrequencies,
     greens_function,
     mode_function,
@@ -224,7 +223,11 @@ def lamb_shift_term_branches(
     the sum is exactly real.  Exposed separately so the mirror-pair realness
     can be checked branch by branch.
     """
-    poles, psi = _poles_and_amplitudes([mode], qubit, material, geometry)
+    _check_position(qubit, geometry)
+    _check_resonance(qubit.omega_q, _frequencies([mode]))
+    poles = [_pole_constants(mode, material, geometry)]
+    at_qubit = _mode_matrix([mode], geometry, np.array([qubit.x_q]))[:, 0]
+    psi = (at_qubit * _amplitude_scale(geometry)).tolist()
     ((n_plus, n_minus),) = _numerators(poles, psi, qubit.dipole_prefactor)
     ((p, _, pc, _),) = poles
     w = qubit.omega_q
@@ -295,35 +298,8 @@ def _terms(w: float, constants) -> np.ndarray:
                                   for n_plus, n_minus, p, pc in lossy]))
 
 
-def _poles_and_amplitudes(modes, qubit, material, geometry):
-    """The :func:`_pole_constants` of ``modes`` and their amplitudes psi at the qubit
-    (floats, from one kernel call), after the position and resonance checks."""
-    _check_position(qubit, geometry)
-    if not modes:
-        return [], []
-    _check_resonance(qubit.omega_q, _frequencies(modes))
-    poles = [_pole_constants(m, material, geometry) for m in modes]
-    at_qubit = _mode_matrix(modes, geometry, np.array([qubit.x_q]))[:, 0]
-    return poles, (at_qubit * _amplitude_scale(geometry)).tolist()
-
-
 def _frequencies(modes) -> np.ndarray:
     return np.array([m.omega_n.nu for m in modes])
-
-
-def lamb_shift_terms(
-    modes,
-    qubit: QubitParams,
-    material: Material,
-    geometry: ResonatorGeometry,
-) -> np.ndarray:
-    """Complex per-mode shift terms (MHz) for modes carrying complex frequencies.
-
-    The reported physical contribution of mode n is the real part; below-gap
-    modes (kappa_n = 0) produce exactly real terms through the same formula.
-    """
-    poles, psi = _poles_and_amplitudes(modes, qubit, material, geometry)
-    return _terms(qubit.omega_q, _term_constants(poles, psi, qubit.dipole_prefactor))
 
 
 def cc_comparator_term(
@@ -401,15 +377,6 @@ class _ModalSpectrum:
     position: list
 
 
-# (material, geometry, n_max, options) -> _ModalSpectrum, least recently used first.
-# The lock also guards _newest and each entry's position slot; no solve runs under it.
-_spectra: OrderedDict = OrderedDict()
-_spectra_lock = threading.Lock()
-# The last entry's spectrum: a hit on it skips move_to_end, which hashes the key
-# again (as reading an OrderedDict's last key would).
-_newest = None
-
-
 def _solve_spectrum(
     material: Material, geometry: ResonatorGeometry, n_max: int, options: FixedPointOptions
 ) -> _ModalSpectrum:
@@ -442,35 +409,37 @@ def _check_resonances(omega_q: float, spectrum: _ModalSpectrum) -> None:
         _check_resonance(omega_q, spectrum.nu_bare)
 
 
+class _Solves(threading.local):
+    count = 0  # spectra this thread has solved, to tell a memo hit from a miss
+
+
+_solves = _Solves()
+_position_lock = threading.Lock()  # guards the spectra's position slots
+
+
+@lru_cache(maxsize=_SPECTRUM_MEMO_SIZE)
+def _memoised_spectrum(
+    material: Material, geometry: ResonatorGeometry, n_max: int, options: FixedPointOptions
+) -> _ModalSpectrum:
+    """:func:`_solve_spectrum`, kept for the latest devices; a failed solve stores nothing."""
+    spectrum = _solve_spectrum(material, geometry, n_max, options)
+    _solves.count += 1
+    return spectrum
+
+
 def _modal_spectrum(
     material: Material, geometry: ResonatorGeometry, n_max: int, options: FixedPointOptions
 ) -> _ModalSpectrum:
     """The device's modal spectrum, solved on the first request and then reused.
 
     A hit issues again the GapStraddle warnings of its solve, one per
-    ``restarted`` mode, from the solver's module (filters naming it apply).
-    Solves run outside the lock; concurrent solvers of one device keep the
-    first spectrum stored.
+    ``restarted`` mode.  Solves run outside any lock; concurrent solvers of
+    one device keep the first spectrum stored.
     """
-    global _newest
-    key = (material, geometry, operator.index(n_max), options)
-    with _spectra_lock:
-        spectrum = _spectra.get(key)
-        if spectrum is not None and spectrum is not _newest:
-            _spectra.move_to_end(key)
-            _newest = spectrum
-    if spectrum is None:
-        solved = _solve_spectrum(material, geometry, n_max, options)
-        with _spectra_lock:
-            spectrum = _newest = _spectra.setdefault(key, solved)
-            _spectra.move_to_end(key)
-            if len(_spectra) > _SPECTRUM_MEMO_SIZE:
-                _spectra.popitem(last=False)
-        return spectrum
-    for k_n in spectrum.restarted:  # from the function whose solves warned, without a registry
-        code = _with_eigenfrequencies.__code__
-        warnings.warn_explicit(_gap_straddle_message(k_n), GapStraddle, code.co_filename,
-                               code.co_firstlineno, module=_with_eigenfrequencies.__module__)
+    solved = _solves.count
+    spectrum = _memoised_spectrum(material, geometry, operator.index(n_max), options)
+    if _solves.count == solved:
+        _warn_gap_straddles(spectrum.restarted)
     return spectrum
 
 
@@ -491,7 +460,7 @@ def _position_constants(spectrum: _ModalSpectrum, geometry: ResonatorGeometry,
     psi = at_qubit * _amplitude_scale(geometry)
     constants = (_term_constants(spectrum.poles, psi.tolist(), qubit.dipole_prefactor),
                  spectrum.nu_bare * psi**2)
-    with _spectra_lock:
+    with _position_lock:
         spectrum.position[0] = key, constants
     return constants
 

@@ -335,6 +335,19 @@ def _gap_straddle_message(k_n: float) -> str:
             "restarting from the across-gap side")
 
 
+def _warn_gap_straddles(restarted) -> None:
+    """Issue again the GapStraddle warnings of a solve, one per restarted k_n.
+
+    They are attributed to :func:`_with_eigenfrequencies`, whose solves
+    warned, so filters naming this module apply; no registry is kept, so the
+    default action shows them on every call.
+    """
+    code = _with_eigenfrequencies.__code__
+    for k_n in restarted:
+        warnings.warn_explicit(_gap_straddle_message(k_n), GapStraddle, code.co_filename,
+                               code.co_firstlineno, module=__name__)
+
+
 def _omega_n_sq(k, omega, z_s, geometry: ResonatorGeometry):
     """omega_n^2 = (k^2 + i g omega c Z_s) / (ell_m c) in (rad/s)^2.
 

@@ -9,7 +9,6 @@ The module is loaded here without installing the tracer.
 import importlib
 import importlib.util
 import sys
-from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -59,7 +58,7 @@ def test_reports_solve_through_the_wrapped_fixed_point_name(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
-    monkeypatch.setattr(lightmatter, "_spectra", OrderedDict())
+    lightmatter._memoised_spectrum.cache_clear()
     geo, material, n_max = make_geometry(), aluminum(CALIBRATED_A), 12
     cold = lamb_shift_report(QubitParams(5.0, 0.0), material, geo, n_max)
     assert calls == [m.k_n for m in cold.modes]

@@ -1,15 +1,19 @@
 """Command line driver: config validation, exit codes, deterministic tables."""
 
 import json
+import math
 import re
+import runpy
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 import yaml
 
 from dispersive_cqed.cli import bundled_geometry_configs, load_run_config, main
+from dispersive_cqed.lightmatter import lamb_shift_report
 from dispersive_cqed.mattis_bardeen import sigma_real_axis
 from dispersive_cqed.modes import resonator_modes
 
@@ -625,3 +629,33 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestModeStructureExport:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "mode_structure_export.py"
+
+    def test_undefined_below_bandgap_curve_is_written_as_nan(self, tmp_path, capsys):
+        # The gap just under the fundamental: every mode lies above it, so the
+        # below-bandgap comparator sum vanishes and its curve is undefined.
+        cfg = base_config()
+        cfg["material"] = {"gap_frequency": 5.958, "limit_regime": "extreme_anomalous",
+                           "impedance_prefactor": CALIBRATED_A, "name": "aluminum"}
+        path = write_config(tmp_path, cfg, name="gap_00p6um.yaml")
+        export = runpy.run_path(str(self.SCRIPT))["main"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = export(["--config", path, "--n-max", "10", "--out-dir", str(tmp_path)])
+            run = load_run_config(path)
+            report = lamb_shift_report(run.qubit, run.material, run.geometry, 10, run.solver)
+        assert rc == 0
+        assert "below_bandgap curve undefined" in capsys.readouterr().err
+        assert not report.below_gap.any()
+        _, columns, rows = parse_csv((tmp_path / "gap_00p6um.convergence.csv").read_text())
+        assert columns == ["M", "dispersion", "below_bandgap", "no_dispersion"]
+        assert [row[2] for row in rows] == ["nan"] * 10
+        for column, model in ((1, "dispersion"), (3, "no_dispersion")):
+            curve = report.convergence_curve(model)
+            assert [row[column] for row in rows] == [f"{v:.12e}" for v in curve]
+            assert all(math.isfinite(v) for v in curve)
+        _, _, mode_rows = parse_csv((tmp_path / "gap_00p6um.modes.csv").read_text())
+        assert len(mode_rows) == 10

@@ -9,7 +9,6 @@ on a memo hit and on a hit at the other qubit frequency.
 
 import difflib
 import json
-from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -59,12 +58,12 @@ def test_every_report_case_has_a_golden_record():
 
 @pytest.mark.parametrize("omega_q", make_golden.REPORT_OMEGAS_GHZ)
 @pytest.mark.parametrize("case_id", sorted(make_golden.REPORT_CASES))
-def test_report_matches_golden_to_the_bit(case_id, omega_q, monkeypatch):
-    memo = OrderedDict()
-    monkeypatch.setattr(lightmatter, "_spectra", memo)
+def test_report_matches_golden_to_the_bit(case_id, omega_q):
+    memo = lightmatter._memoised_spectrum
+    memo.cache_clear()
     want = REPORTS[make_golden.report_key(case_id, omega_q)]
     assert make_golden.report_record(case_id, omega_q) == want  # memo miss
-    assert len(memo) == 1
+    assert memo.cache_info().currsize == 1
     assert make_golden.report_record(case_id, omega_q) == want  # memo hit
     other = make_golden.other_omega(omega_q)  # a hit that reuses the position constants
     assert make_golden.report_record(case_id, other) == REPORTS[

@@ -23,6 +23,7 @@ from dispersive_cqed.errors import (
     AboveGapMode,
     DomainError,
     GapStraddle,
+    NoConvergence,
     PoleProximity,
     QubitOnResonance,
 )
@@ -34,7 +35,6 @@ from dispersive_cqed.lightmatter import (
     coupling_strength,
     lamb_shift_report,
     lamb_shift_term_branches,
-    lamb_shift_terms,
     naive_cutoff,
     normalized_convergence,
     rescaled,
@@ -198,6 +198,12 @@ class TestSpectralDensity:
         assert 0.5 < ratio < 0.95
 
 
+def _branch_sums(modes, qubit, material, geometry) -> np.ndarray:
+    """Per-mode shift terms (MHz) as the sums of their two mirror branches."""
+    pairs = [lamb_shift_term_branches(m, qubit, material, geometry) for m in modes]
+    return np.array([plus + minus for plus, minus in pairs])
+
+
 class TestLambShiftTerms:
     def test_below_gap_pair_sum_exactly_real(self):
         geo = make_geometry()
@@ -219,7 +225,7 @@ class TestLambShiftTerms:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             modes = dispersive_modes(geo, al, 20)
-        t = lamb_shift_terms(modes, qb, al, geo)
+        t = _branch_sums(modes, qb, al, geo)
         lossy = [i for i, m in enumerate(modes) if m.omega_n.kappa > 0]
         for i in lossy:
             rel_imag = abs(t[i].imag) / abs(t[i])
@@ -232,7 +238,7 @@ class TestLambShiftTerms:
         lossless = aluminum(0.0)
         for m in resonator_modes(geo, 10):
             m_eps = replace(m, omega_n=ComplexFreq(m.omega_n.nu, 1e-8))
-            pair = lamb_shift_terms([m_eps], qb, lossless, geo)[0]
+            pair = _branch_sums([m_eps], qb, lossless, geo)[0]
             cc = cc_comparator_term(m, qb, geo)
             assert abs(pair.real - cc) / abs(cc) <= 1e-4
 
@@ -240,7 +246,7 @@ class TestLambShiftTerms:
         geo = make_geometry(c_series=1e-20)
         qb = QubitParams(5.0, geo.length / 4.0)  # node of mode 2
         modes = resonator_modes(geo, 3)
-        t = lamb_shift_terms(modes, qb, aluminum(0.0), geo)
+        t = _branch_sums(modes, qb, aluminum(0.0), geo)
         assert abs(t[1]) < 1e-9 * abs(t[0])
 
     def test_all_terms_negative_for_detuned_qubit(self):
@@ -250,7 +256,7 @@ class TestLambShiftTerms:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             modes = dispersive_modes(geo, al, 30)
-        t = lamb_shift_terms(modes, qb, al, geo)
+        t = _branch_sums(modes, qb, al, geo)
         assert (t.real < 0.0).all()
 
     def test_on_resonance_rejected(self):
@@ -258,7 +264,7 @@ class TestLambShiftTerms:
         modes = resonator_modes(geo, 2)
         qb = QubitParams(modes[0].omega_n.nu, 0.0)
         with pytest.raises(QubitOnResonance):
-            lamb_shift_terms(modes, qb, aluminum(0.0), geo)
+            _branch_sums(modes, qb, aluminum(0.0), geo)
 
 
 class TestComparator:
@@ -506,9 +512,6 @@ class TestReportAssembly:
             report = lamb_shift_report(qubit, material, geometry, n_max)
         pairs = [lamb_shift_term_branches(m, qubit, material, geometry) for m in report.modes]
         assert list(report.per_mode_terms) == [plus + minus for plus, minus in pairs]
-        assert list(lamb_shift_terms(report.modes, qubit, material, geometry)) == list(
-            report.per_mode_terms
-        )
         bare = resonator_modes(geometry, n_max)
         assert list(report.comparator_terms) == [cc_comparator_term(m, qubit, geometry)
                                                  for m in bare]
@@ -576,16 +579,36 @@ def _assert_identical_reports(a, b):
     assert a.modes == b.modes
 
 
+class _Memo:
+    """The spectrum memo as a container: its size, clear() and a stored spectrum."""
+
+    def __len__(self):
+        return lightmatter._memoised_spectrum.cache_info().currsize
+
+    @staticmethod
+    def clear():
+        lightmatter._memoised_spectrum.cache_clear()
+
+    @staticmethod
+    def spectrum(material, geometry, n_max):
+        """The stored spectrum of a device; fails if it was not stored."""
+        misses = lightmatter._memoised_spectrum.cache_info().misses
+        spectrum = lightmatter._modal_spectrum(material, geometry, n_max, FixedPointOptions())
+        assert lightmatter._memoised_spectrum.cache_info().misses == misses
+        return spectrum
+
+
 class TestSpectrumMemo:
     """Reports on one device share its qubit-independent modal spectrum."""
 
     N = 20
 
     @pytest.fixture
-    def memo(self, monkeypatch):
-        spectra = OrderedDict()
-        monkeypatch.setattr(lightmatter, "_spectra", spectra)
-        return spectra
+    def memo(self):
+        memo = _Memo()
+        memo.clear()
+        yield memo
+        memo.clear()
 
     @pytest.fixture
     def impedance_calls(self, monkeypatch):
@@ -624,6 +647,16 @@ class TestSpectrumMemo:
         assert a.modes != b.modes
         memo.clear()
         _assert_identical_reports(b, lamb_shift_report(qubit, al, weak, self.N))
+
+    def test_a_failed_solve_is_not_memoised(self, memo, impedance_calls):
+        geo, al = make_geometry(), aluminum(CALIBRATED_A)
+        for _ in range(2):  # the second report solves again, and fails again
+            impedance_calls.clear()
+            with pytest.raises(NoConvergence):
+                lamb_shift_report(QubitParams(5.0, 0.0), al, geo, self.N,
+                                  FixedPointOptions(max_iter=1))
+            assert len(impedance_calls) > 0
+            assert len(memo) == 0
 
     def test_mutating_a_report_leaves_the_next_one_unchanged(self, memo):
         geo, al, qubit = make_geometry(), aluminum(CALIBRATED_A), QubitParams(5.0, 0.0)
@@ -690,25 +723,31 @@ class TestSpectrumMemo:
         assert counts[0] == len(report.restarted)
         assert report.below_gap.sum() == n  # the mode at the edge counts as below
 
-    def test_memo_never_grows_past_its_bound(self, memo):
+    def test_memo_never_grows_past_its_bound(self, memo, monkeypatch):
+        solved, solve = [], lightmatter._solve_spectrum
+
+        def counted(material, geometry, n_max, options):
+            solved.append(n_max)
+            return solve(material, geometry, n_max, options)
+
+        monkeypatch.setattr(lightmatter, "_solve_spectrum", counted)
         geo, qubit = make_geometry(), QubitParams(5.0, 0.0)
         bound = lightmatter._SPECTRUM_MEMO_SIZE
-        for n_max in range(1, bound + 5):
-            lamb_shift_report(qubit, aluminum(0.0), geo, n_max)
-            assert len(memo) <= bound
-        assert [key[2] for key in memo] == list(range(5, bound + 5))  # oldest went first
-        # Hits of the newest entry, of older ones and misses interleaved: the
-        # order equals an LRU's that reorders on every hit.
-        model = OrderedDict.fromkeys(range(5, bound + 5))
+        # Filling past the bound (the oldest go first), then hits of the newest
+        # entry, of older ones and misses interleaved: each report solves
+        # exactly when an LRU that reorders on every hit lacks its device.
+        model = OrderedDict()
         rng = np.random.default_rng(13)
-        for n_max in [bound + 4, bound + 4, 5, 5, 1, 6, 5] + rng.integers(
-                1, bound + 12, 120).tolist():
+        for n_max in list(range(1, bound + 5)) + [bound + 4, bound + 4, 5, 5, 1, 6, 5] + (
+                rng.integers(1, bound + 12, 120).tolist()):
+            solved.clear()
             lamb_shift_report(qubit, aluminum(0.0), geo, n_max)
+            assert solved == ([] if n_max in model else [n_max])
             model[n_max] = None
             model.move_to_end(n_max)
             if len(model) > bound:
                 model.popitem(last=False)
-            assert [key[2] for key in memo] == list(model)
+            assert len(memo) == len(model) <= bound
 
     @pytest.mark.filterwarnings("ignore::dispersive_cqed.errors.GapStraddle")
     def test_concurrent_reports_past_the_bound(self, memo):
@@ -785,7 +824,8 @@ class TestSpectrumMemo:
         for qubit in qubits:
             _assert_identical_reports(lamb_shift_report(qubit, material, geo, self.N),
                                       cold[qubit])
-            (spectrum,) = memo.values()
+            assert len(memo) == 1
+            spectrum = memo.spectrum(material, geo, self.N)
             slots.append(spectrum.position[0])
         # Within a scan the slot's constants are reused, not rebuilt.
         for previous, slot, qubit in zip(slots, slots[1:], qubits[1:]):
@@ -801,16 +841,15 @@ class TestSpectrumMemo:
         cold = self._cold_reports(memo, qubits, al, geo, self.N)
         for qubit in qubits:
             _assert_identical_reports(lamb_shift_report(qubit, al, geo, self.N), cold[qubit])
-            (spectrum,) = memo.values()
+            assert len(memo) == 1
+            spectrum = memo.spectrum(al, geo, self.N)
             assert spectrum.position[0][0] == (qubit.x_q, 1.0)
 
-    def test_terms_of_a_hit_equal_lamb_shift_terms(self, memo):
+    def test_terms_of_a_hit_equal_the_branch_sums(self, memo):
         geo, al = make_geometry(), aluminum(CALIBRATED_A)
         lamb_shift_report(QubitParams(5.0, 0.3 * geo.length, 1.7), al, geo, self.N)
         qubit = QubitParams(4.4, 0.3 * geo.length, 1.7)  # a hit at a known position
         report = lamb_shift_report(qubit, al, geo, self.N)
-        assert list(lamb_shift_terms(report.modes, qubit, al, geo)) == list(
-            report.per_mode_terms)
         pairs = [lamb_shift_term_branches(m, qubit, al, geo) for m in report.modes]
         assert [plus + minus for plus, minus in pairs] == list(report.per_mode_terms)
 
@@ -1029,8 +1068,11 @@ class TestMemoKeyHash:
             "built = (replace(material), replace(geometry), replace(options))\n"
             "lightmatter.lamb_shift_report(lightmatter.QubitParams(5.0, 0.0),\n"
             "                              built[0], built[1], n_max, built[2])\n"
-            "print(hash(material.name), (material, geometry, n_max, options)\n"
-            "      in lightmatter._spectra, len(lightmatter._spectra))\n"
+            "memo = lightmatter._memoised_spectrum\n"
+            "hits = memo.cache_info().hits\n"
+            "lightmatter._modal_spectrum(material, geometry, n_max, options)\n"
+            "print(hash(material.name), memo.cache_info().hits == hits + 1,\n"
+            "      memo.cache_info().currsize)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(key),
                               capture_output=True, env={**child_env(), "PYTHONHASHSEED": child_seed},
