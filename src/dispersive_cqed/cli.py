@@ -46,7 +46,7 @@ from .impedance import (
     surface_impedance,
 )
 from .lightmatter import QubitParams, coupling_strength, lamb_shift_report, spectral_density
-from .mattis_bardeen import ComplexFreq, sigma_oracle, sigma_real_axis, sigma_tilde
+from .mattis_bardeen import ComplexFreq, sigma_oracle, sigma_tilde
 from .modes import (
     FixedPointOptions,
     QubitLoad,
@@ -411,10 +411,7 @@ def _cmd_conductivity(run: RunConfig, args: argparse.Namespace) -> list[Table]:
     for nu in nu_values:
         for kap in kappa_values:
             try:
-                if kap == 0.0:
-                    sigma = sigma_real_axis(float(nu))
-                else:
-                    sigma = sigma_tilde(ComplexFreq(float(nu), float(kap)))
+                sigma = sigma_tilde(ComplexFreq(float(nu), float(kap)))
                 row = [nu, kap, sigma.real, -sigma.imag]
                 if args.oracle:
                     ref = sigma_oracle(ComplexFreq(float(nu), float(kap)))

@@ -31,7 +31,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import BranchCut, DomainError, GridTooCoarse
-from .mattis_bardeen import ComplexFreq, _sigma_real_axis_grid, sigma_real_axis, sigma_tilde
+from .mattis_bardeen import ComplexFreq, _check_real_below_gap, _sigma_real_axis_grid
+from .mattis_bardeen import sigma_real_axis, sigma_tilde
 
 _TWO_PI_GHZ = 2.0 * math.pi * 1e9  # rad/s per GHz
 
@@ -163,11 +164,7 @@ def _split_frequency(material: Material, frequency_ghz: complex) -> ComplexFreq:
         )
     if nu <= 0.0:
         raise DomainError(f"frequency must have a positive real part, got {frequency_ghz}")
-    if nu <= 2.0 and kap > 0.0:
-        raise DomainError(
-            "below-gap surface impedance is defined for real frequencies only "
-            f"(got reduced {nu} + {kap}i)"
-        )
+    _check_real_below_gap(nu, kap)
     return ComplexFreq(nu, kap)
 
 
@@ -214,7 +211,13 @@ def epsilon(
         raise DomainError(f"need g_geom >= 0 and ell_m > 0, got {g_geom}, {ell_m}")
     if material.impedance_prefactor == 0.0:
         return 1.0 + 0.0j
-    z_s = surface_impedance(material, frequency_ghz)
+    return _epsilon(material, g_geom, ell_m, frequency_ghz,
+                    surface_impedance(material, frequency_ghz))
+
+
+def _epsilon(material: Material, g_geom: float, ell_m: float, frequency_ghz: complex,
+             z_s: complex) -> complex:
+    """:func:`epsilon` from the Z_s (Ohms) at ``frequency_ghz`` that the caller holds."""
     omega = _TWO_PI_GHZ * frequency_ghz
     if frequency_ghz.imag == 0.0 and z_s.real == 0.0:
         # 1 + g X_s / (omega l_m), kept in real arithmetic.

@@ -37,17 +37,17 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AboveGapMode, DomainError, QubitOnResonance
-from .impedance import _TWO_PI_GHZ, Material, epsilon
+from .impedance import _TWO_PI_GHZ, Material, _epsilon, epsilon, surface_impedance
 from .modes import (
     FixedPointOptions,
     Mode,
     ResonatorGeometry,
     _eval_segments,
+    _greens,
     _mode_matrix,
     _stack,
     _warn_gap_straddles,
     _with_eigenfrequencies,
-    greens_function,
     mode_function,
     resonator_modes,
 )
@@ -201,8 +201,9 @@ def spectral_density(
             f"spectral density is defined above the gap ({material.gap_frequency} GHz); "
             f"got {omega_ghz} GHz"
         )
-    eps = epsilon(material, geometry.g_geom, geometry.ell_m, omega_ghz)
-    green = greens_function(qubit.x_q, qubit.x_q, omega_ghz, modes, material, geometry)
+    z_s = 0.0j if material.impedance_prefactor == 0.0 else surface_impedance(material, omega_ghz)
+    eps = _epsilon(material, geometry.g_geom, geometry.ell_m, omega_ghz, z_s)
+    green = _greens(qubit.x_q, qubit.x_q, omega_ghz, modes, geometry, z_s)
     # Dimensionless mode amplitudes and an omega^2 in (rad/s)^2 cancel the
     # SI units of the Green's function.
     scale = geometry.ell_m * geometry.c_per_len * geometry.length
@@ -414,7 +415,6 @@ class _Solves(threading.local):
 
 
 _solves = _Solves()
-_position_lock = threading.Lock()  # guards the spectra's position slots
 
 
 @lru_cache(maxsize=_SPECTRUM_MEMO_SIZE)
@@ -460,8 +460,7 @@ def _position_constants(spectrum: _ModalSpectrum, geometry: ResonatorGeometry,
     psi = at_qubit * _amplitude_scale(geometry)
     constants = (_term_constants(spectrum.poles, psi.tolist(), qubit.dipole_prefactor),
                  spectrum.nu_bare * psi**2)
-    with _position_lock:
-        spectrum.position[0] = key, constants
+    spectrum.position[0] = key, constants  # one store of a pair built whole
     return constants
 
 

@@ -19,6 +19,11 @@ separate:
 On the real axis the closed form collapses to the classic dissipative /
 reactive pair of elliptic-integral expressions familiar from tunneling
 spectroscopy, which :func:`sigma_real_axis` exposes directly.
+
+Below the gap the film is a lossless reactance: :func:`_check_real_below_gap`,
+shared with the surface impedance, refuses nu <= 2 with kappa > 0.  The
+continued kernel integral :func:`_sigma2_continued` is only the oracle of
+the below-gap sigma2.
 """
 
 from __future__ import annotations
@@ -91,6 +96,13 @@ def _check_gap_edge(nu: float, kap: float) -> None:
         raise GapSingularity(f"frequency {nu} + {kap}i within {_GAP_WINDOW} of the gap edge")
 
 
+def _check_real_below_gap(nu: float, kap: float) -> None:
+    """Refuse nu <= 2 with kappa > 0: below the gap the film is a lossless reactance."""
+    if nu <= 2.0 and kap > 0.0:
+        raise DomainError("below-gap response is defined for real frequencies only "
+                          f"(got reduced {nu} + {kap}i)")
+
+
 def moduli(freq: ComplexFreq) -> EllipticModuli:
     """Elliptic moduli for the closed-form conductivity at ``freq``.
 
@@ -141,16 +153,14 @@ def _tail_integral(nu: float, kap: float, tol: float) -> complex:
     if kap == 0.0:
         return 0.0 + 0.0j
     w = nu - 1j * kap
+    h = _kernel(nu, kap)
 
     def diff_raw(E):
         E = np.asarray(E, dtype=complex)
-        h = ((E + nu) * (E + 1j * kap) + 1.0) / (
-            np.sqrt((E + nu) ** 2 - 1.0) * np.sqrt((E + 1j * kap) ** 2 - 1.0)
-        )
         g = (E * E + E * w + 1.0) / (
             np.sqrt(E * E - 1.0) * np.sqrt((E + w) ** 2 - 1.0)
         )
-        return h - g
+        return h(E) - g
 
     e_split = 6.0
 
@@ -230,16 +240,14 @@ def sigma_tilde(freq: ComplexFreq) -> complex:
     sign here was fixed against :func:`sigma_oracle`; do not "simplify"
     them.  On the real axis (``kappa == 0``, either side of the gap) it
     returns :func:`sigma_real_axis`.  Below the gap with ``kappa > 0`` it
-    continues the reactive branch by direct quadrature of the kernel along
-    the tilted interval (1-w, 1).  K and E at each modulus, and the
-    incomplete F and E at (z2, k'), share one R_F per pair.
+    raises DomainError, as the surface impedance does: the film is lossless
+    there.  K and E at each modulus, and the incomplete F and E at
+    (z2, k'), share one R_F per pair.
     """
     nu, kap = freq.nu, freq.kappa
+    _check_real_below_gap(nu, kap)
     if nu <= 2.0:
         _check_gap_edge(nu, kap)
-        if kap == 0.0:
-            return sigma_real_axis(nu)
-        return -1j * _sigma2_continued(nu - 1j * kap)
     if kap == 0.0:
         return sigma_real_axis(nu)
     m = moduli(freq)
@@ -274,7 +282,8 @@ def _sigma2_continued(w: complex, tol: float = 1e-11) -> complex:
 
     On the real axis this is the textbook below-gap integral over
     (1-nu, 1); for complex w the path tilts with the endpoint 1-w.  Both
-    endpoint singularities are absorbed by the sine substitution.
+    endpoint singularities are absorbed by the sine substitution.  Only the
+    oracle of the below-gap sigma2 of :func:`sigma_real_axis`.
     """
     f = _below_gap_kernel(w)
     seg = ContourSegment(-math.pi / 2.0, math.pi / 2.0, tol=tol)

@@ -329,23 +329,15 @@ class FixedPointOptions:
 _GAP_RESTART_OFFSET = 1e-3
 
 
-def _gap_straddle_message(k_n: float) -> str:
-    """Text of the GapStraddle warning of a solve that restarted, for wave number k_n."""
-    return (f"fixed-point iterate crossed the gap edge at k={k_n:.6g}; "
-            "restarting from the across-gap side")
-
-
 def _warn_gap_straddles(restarted) -> None:
-    """Issue again the GapStraddle warnings of a solve, one per restarted k_n.
+    """Warn GapStraddle per restarted k_n: the one emitter, for a solve and a memo hit alike.
 
-    They are attributed to :func:`_with_eigenfrequencies`, whose solves
-    warned, so filters naming this module apply; no registry is kept, so the
-    default action shows them on every call.
+    Attributed to this line and kept in this module's registry, so the
+    default filters print a restart once, solved or repeated.
     """
-    code = _with_eigenfrequencies.__code__
     for k_n in restarted:
-        warnings.warn_explicit(_gap_straddle_message(k_n), GapStraddle, code.co_filename,
-                               code.co_firstlineno, module=__name__)
+        warnings.warn(f"fixed-point iterate crossed the gap edge at k={k_n:.6g}; "
+                      "restarting from the across-gap side", GapStraddle)
 
 
 def _omega_n_sq(k, omega, z_s, geometry: ResonatorGeometry):
@@ -356,17 +348,6 @@ def _omega_n_sq(k, omega, z_s, geometry: ResonatorGeometry):
     """
     num = k * k + 1j * geometry.g_geom * omega * geometry.c_per_len * z_s
     return num / (geometry.ell_m * geometry.c_per_len)
-
-
-def _dispersion_rhs(
-    omega: complex, k: float, material: Material, geometry: ResonatorGeometry
-) -> complex:
-    """omega_n^2(omega) for one wave number, with omega in rad/s."""
-    if material.impedance_prefactor == 0.0:
-        z_s = 0.0j
-    else:
-        z_s = surface_impedance(material, omega / _TWO_PI_GHZ)
-    return _omega_n_sq(k, omega, z_s, geometry)
 
 
 def fixed_point_eigenfrequency(
@@ -390,8 +371,9 @@ def fixed_point_eigenfrequency(
     ``seed_ghz`` overrides the default starting point (the bare frequency
     k_n v); the fixed point must not depend on it.
 
-    Warns GapStraddle and restarts from just across the gap if an iterate
-    changes side by ``Material.above_gap``; a second change raises NoConvergence.
+    Warns GapStraddle (from this module, not the caller's line) and restarts
+    from just across the gap if an iterate changes side by
+    ``Material.above_gap``; a second change raises NoConvergence.
     So does an iterate the impedance refuses (DomainError), as where rhs < 0
     below the gap sends the next one off the real axis; its residual history
     keeps the residuals from before a restart too.  A refused starting point
@@ -410,7 +392,9 @@ def fixed_point_eigenfrequency(
     side0 = material.above_gap(omega / _TWO_PI_GHZ)  # the value the impedance is handed
     for step in range(options.max_iter):
         try:
-            rhs = _dispersion_rhs(omega, k_n, material, geometry)
+            z_s = (0.0j if material.impedance_prefactor == 0.0
+                   else surface_impedance(material, omega / _TWO_PI_GHZ))
+            rhs = _omega_n_sq(k_n, omega, z_s, geometry)
         except DomainError as exc:
             if step == 0:  # the starting point, not an iterate of the solver
                 raise
@@ -435,7 +419,7 @@ def fixed_point_eigenfrequency(
                 raise NoConvergence(
                     "fixed-point iterate re-crossed the gap edge", residual_history=residuals
                 )
-            warnings.warn(_gap_straddle_message(k_n), GapStraddle, stacklevel=2)
+            _warn_gap_straddles((k_n,))
             restarted = True
             side0 = not side0
             if side0:
@@ -496,14 +480,19 @@ def greens_function(
     gives the response function its conjugation symmetry
     G(x, x'; -conj(omega)) = conj(G(x, x'; omega)).
     """
-    omega = complex(omega_ghz) * _TWO_PI_GHZ
-    ks = np.array([m.k_n for m in modes])
     if material.impedance_prefactor == 0.0:
         z_s = 0.0j
     elif complex(omega_ghz).real < 0.0:
         z_s = np.conj(surface_impedance(material, -complex(omega_ghz).conjugate()))
     else:
         z_s = surface_impedance(material, complex(omega_ghz))
+    return _greens(x, x_prime, omega_ghz, modes, geometry, z_s)
+
+
+def _greens(x, x_prime, omega_ghz: complex, modes, geometry: ResonatorGeometry, z_s) -> complex:
+    """:func:`greens_function` from the Z_s (Ohms) at the probe that the caller holds."""
+    omega = complex(omega_ghz) * _TWO_PI_GHZ
+    ks = np.array([m.k_n for m in modes])
     omega_n_sq = _omega_n_sq(ks, omega, z_s, geometry)
     roots = np.sqrt(omega_n_sq.astype(complex))
     if np.any(np.abs(omega - roots) <= 1e-9 * np.abs(roots)):

@@ -704,6 +704,28 @@ class TestSpectrumMemo:
             assert caught == []
         assert len(memo) == 1
 
+    def test_default_filters_print_a_restart_once_on_hits_as_on_solves(self, memo):
+        # Under the default action a warning prints once per registry entry.
+        # Four reports that each solve print the restart once, and so do one
+        # solve and three hits: every restart warning comes from one line of
+        # modes and is kept in that module's registry.
+        material, geo = self._restarting_device()
+        printed, sources = [], set()
+        for solve_each in (True, False):
+            memo.clear()
+            modes_module.__dict__.get("__warningregistry__", {}).clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")
+                for omega_q in (3.0, 3.5, 3.7, 4.0):
+                    if solve_each:
+                        memo.clear()
+                    lamb_shift_report(QubitParams(omega_q, 0.0), material, geo, 3)
+            straddles = [w for w in caught if issubclass(w.category, GapStraddle)]
+            printed.append(len(straddles))
+            sources.update((w.filename, w.lineno) for w in straddles)
+        assert printed == [1, 1]
+        assert len(sources) == 1 and sources.pop()[0] == modes_module.__file__
+
     @pytest.mark.parametrize("n", [12, 13])
     def test_gap_at_a_bare_frequency_warns_alike_on_miss_and_hit(self, memo, n):
         # The gap exactly at mode n's bare frequency on gap_00p6um: the solver,
@@ -752,7 +774,7 @@ class TestSpectrumMemo:
     @pytest.mark.filterwarnings("ignore::dispersive_cqed.errors.GapStraddle")
     def test_concurrent_reports_past_the_bound(self, memo):
         # Four threads cycle through more devices than the memo holds, so
-        # hits, stores, evictions, solves outside the lock and the warnings
+        # hits, stores, evictions, concurrent solves and the warnings
         # of a restarting device (solved or re-issued on a hit) interleave;
         # the process's warning state must come out unaltered.  Each thread
         # puts its qubit elsewhere, so the position slots of the shared

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from dispersive_cqed.errors import DomainError, GapSingularity
+from dispersive_cqed.impedance import aluminum, surface_impedance
 from dispersive_cqed.mattis_bardeen import (
     ComplexFreq,
     _sigma2_continued,
@@ -247,9 +248,26 @@ class TestClosedForm:
     def test_below_gap_continuation_reaches_real_axis(self):
         got = sigma_tilde(ComplexFreq(0.5, 0.0))
         assert got == sigma_real_axis(0.5)
-        # small kappa below the gap stays close to the real-axis value
-        near = sigma_tilde(ComplexFreq(0.5, 1e-6))
+        # Off the axis below the gap the closed form refuses: the film is
+        # lossless there.  The oracle's continuation of the kernel integral
+        # still reaches the real-axis value as kappa -> 0.
+        with pytest.raises(DomainError, match="real frequencies only"):
+            sigma_tilde(ComplexFreq(0.5, 1e-6))
+        near = -1j * _sigma2_continued(0.5 - 1e-6j)
         assert abs(near - got) / abs(got) < 1e-3
+
+    @pytest.mark.parametrize("nu, kap", [
+        (0.5, 1e-6), (1.0, 0.3), (1.999, 1e-3), (2.0, 0.5), (2.0 - 1e-9, 1e-9),
+    ])
+    def test_below_gap_refusal_is_shared_with_the_impedance(self, nu, kap):
+        # A 2 GHz gap makes reduced and GHz frequencies equal, so both
+        # refusals name the same numbers.
+        material = aluminum(1.0, gap_frequency=2.0)
+        with pytest.raises(DomainError, match="real frequencies only") as closed_form:
+            sigma_tilde(ComplexFreq(nu, kap))
+        with pytest.raises(DomainError, match="real frequencies only") as impedance:
+            surface_impedance(material, complex(nu, kap))
+        assert str(closed_form.value) == str(impedance.value)
 
     def test_gap_guard(self):
         with pytest.raises(GapSingularity):
