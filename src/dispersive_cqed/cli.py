@@ -303,15 +303,20 @@ def _fmt(value, precision: int) -> str:
     return f"{value:.{precision}e}"
 
 
+def _cells(table: Table, fmt, precision: int) -> tuple[list, list]:
+    """(columns, rows) with each value through ``fmt``; the status column last, if any."""
+    status = table.status
+    columns = list(table.columns) + (["status"] if status is not None else [])
+    rows = [[fmt(v, precision) for v in row] + ([status[i]] if status is not None else [])
+            for i, row in enumerate(table.rows)]
+    return columns, rows
+
+
 def _render_csv(table: Table, precision: int) -> str:
+    columns, rows = _cells(table, _fmt, precision)
     lines = [f"# {key}: {value}" for key, value in table.metadata]
-    columns = list(table.columns) + (["status"] if table.status is not None else [])
     lines.append(",".join(columns))
-    for i, row in enumerate(table.rows):
-        cells = [_fmt(v, precision) for v in row]
-        if table.status is not None:
-            cells.append(table.status[i])
-        lines.append(",".join(cells))
+    lines.extend(",".join(cells) for cells in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -326,13 +331,7 @@ def _json_cell(value, precision: int):
 
 
 def _table_payload(table: Table, precision: int) -> dict:
-    columns = list(table.columns) + (["status"] if table.status is not None else [])
-    rows = []
-    for i, row in enumerate(table.rows):
-        cells = [_json_cell(v, precision) for v in row]
-        if table.status is not None:
-            cells.append(table.status[i])
-        rows.append(cells)
+    columns, rows = _cells(table, _json_cell, precision)
     return {"metadata": dict(table.metadata), "columns": columns, "rows": rows}
 
 

@@ -626,7 +626,8 @@ def _incomplete(z: complex, k: complex, method: str, f: bool, e: bool):
     Carlson forms from one (R_F, R_D) loop, with R_D only if E is asked for:
     F = -s z R_F(1 - z^2, 1 - k^2 z^2, 1) with the sign s of
     :func:`_branch_sign`, and E = z R_F - (k^2 z^3/3) R_D, which needs no
-    sign.  Where no sign can be read it integrates by quadrature too.  F with
+    sign.  Where no sign can be read it integrates by quadrature too.  Only
+    a quadrature needs the path, so only it runs :func:`_guard_path`.  F with
     k != 0, Im z^2 != 0 and Im k^2 z^2 = 0 raises BranchCut before any panel.
     """
     if method not in ("auto", "quadrature"):
@@ -634,12 +635,12 @@ def _incomplete(z: complex, k: complex, method: str, f: bool, e: bool):
     z, k = complex(z), complex(k)
     if z == 0:
         return (0.0j if f else None), (0.0j if e else None)
-    terminal = _guard_path(z, k)
     zz = z * z
-    if f and k != 0 and zz.imag != 0.0 and (k * k * zz).imag == 0.0:
-        raise BranchCut(f"first-kind integrand lies on its branch cut along 0 -> {z} (k={k})")
     s = _branch_sign(z, k) if method == "auto" else 0
     if s == 0:
+        terminal = _guard_path(z, k)
+        if f and k != 0 and zz.imag != 0.0 and (k * k * zz).imag == 0.0:
+            raise BranchCut(f"first-kind integrand lies on its branch cut along 0 -> {z} (k={k})")
         if terminal not in (None, z):
             raise BranchPointOnPath(f"path 0 -> {z} ends next to branch point {terminal} (k={k})")
         singular = terminal == z
@@ -670,9 +671,11 @@ def ellip_incomplete_f(z: complex, k: complex, method: str = "auto") -> complex:
     that ends on a cut of the Carlson arguments), the literal integrand lies
     on its cut along the whole path, and both methods raise :class:`BranchCut`.
 
-    Raises :class:`BranchPointOnPath` if the open path hits +-1 or +-1/k;
-    a terminal point *at* a branch point is admissible (integrable), but
-    quadrature refuses one that is only within 1e-9 of it.
+    Where it integrates, it raises :class:`BranchPointOnPath` if the open
+    path comes within 1e-9 of +-1 or +-1/k; a terminal point *at* a branch
+    point is admissible (integrable), but quadrature refuses one that is
+    only within 1e-9 of it.  The Carlson form needs no path, so ``"auto"``
+    answers there wherever it reads a sign.
     """
     return _incomplete(z, k, method, True, False)[0]
 

@@ -42,14 +42,14 @@ from .modes import (
     FixedPointOptions,
     Mode,
     ResonatorGeometry,
+    _bare_stack,
     _eval_segments,
     _greens,
     _mode_matrix,
-    _stack,
+    _modes,
     _warn_gap_straddles,
-    _with_eigenfrequencies,
+    fixed_point_eigenfrequency,
     mode_function,
-    resonator_modes,
 )
 
 _RESONANCE_REL_TOL = 1e-6
@@ -347,25 +347,24 @@ def _normalized(partial: np.ndarray) -> np.ndarray:
 class _ModalSpectrum:
     """The qubit-independent half of a report, fixed by the device alone.
 
-    ``lossless`` are the bare modes, ``dispersive`` the same modes carrying
-    their dispersion fixed points, ``poles`` the :func:`_pole_constants` of
-    each, ``nu`` and ``nu_bare`` the dispersive and bare frequencies, and
-    ``below_gap`` flags the bare frequencies below the gap.  The bare
-    frequencies increase with n, so the flagged modes are the first
-    ``n_below``.  ``resonances`` lists every dispersive and bare frequency in
-    increasing order, for :func:`_check_resonances`.  ``stack`` holds the
-    spatial data of the modes as ``modes._eval_segments`` takes it.
-    ``restarted`` holds the k_n of each mode whose solve made a gap-edge
-    restart: a solve restarts at most once, so exactly those whose bare and
-    dispersive frequencies lie on opposite sides of the gap by
-    ``Material.above_gap``, the rule the solver and the impedance use.
+    ``stack`` holds the bare modes once, as the arrays (k, norm, amplitudes)
+    of ``modes._bare_stack`` that ``modes._eval_segments`` takes.
+    ``dispersive`` are the modes carrying their dispersion fixed points,
+    ``poles`` the :func:`_pole_constants` of each, ``nu`` and ``nu_bare`` the
+    dispersive and bare frequencies, and ``below_gap`` flags the bare
+    frequencies below the gap.  The bare frequencies increase with n, so the
+    flagged modes are the first ``n_below``.  ``resonances`` lists every
+    dispersive and bare frequency in increasing order, for
+    :func:`_check_resonances`.  ``restarted`` holds the k_n of each mode whose
+    solve made a gap-edge restart: a solve restarts at most once, so exactly
+    those whose bare and dispersive frequencies lie on opposite sides of the
+    gap by ``Material.above_gap``, the rule the solver and the impedance use.
 
     ``position`` is the spectrum's one slot for :func:`_position_constants`:
     a one-element list holding ((x_q, dipole_prefactor), constants) of the
     latest report, replaced whole on a miss.
     """
 
-    lossless: tuple[Mode, ...]
     dispersive: tuple[Mode, ...]
     poles: tuple[tuple[complex, complex, complex, complex], ...]
     nu: np.ndarray
@@ -381,17 +380,17 @@ class _ModalSpectrum:
 def _solve_spectrum(
     material: Material, geometry: ResonatorGeometry, n_max: int, options: FixedPointOptions
 ) -> _ModalSpectrum:
-    lossless = tuple(resonator_modes(geometry, n_max))
-    dispersive = tuple(_with_eigenfrequencies(lossless, material, geometry, options))
+    stack = _bare_stack(geometry, n_max)
+    dispersive = tuple(_modes(stack, [fixed_point_eigenfrequency(k, material, geometry, options)
+                                      for k in stack[0]]))
     poles = tuple(_pole_constants(m, material, geometry) for m in dispersive)
-    nu, nu_bare = _frequencies(dispersive), _frequencies(lossless)
+    nu, nu_bare = _frequencies(dispersive), geometry.bare_frequency_ghz(stack[0])
     nus, bares = nu.tolist(), nu_bare.tolist()
     below_gap = np.array([not material.above_gap(f_bare) for f_bare in bares])
-    restarted = tuple(m.k_n for m, f, f_bare in zip(lossless, nus, bares)
+    restarted = tuple(m.k_n for m, f, f_bare in zip(dispersive, nus, bares)
                       if material.above_gap(f) != material.above_gap(f_bare))
-    return _ModalSpectrum(lossless, dispersive, poles, nu, nu_bare, below_gap,
-                          int(below_gap.sum()), sorted(nus + bares),
-                          _stack(lossless), restarted, [(None, None)])
+    return _ModalSpectrum(dispersive, poles, nu, nu_bare, below_gap, int(below_gap.sum()),
+                          sorted(nus + bares), stack, restarted, [(None, None)])
 
 
 def _check_resonances(omega_q: float, spectrum: _ModalSpectrum) -> None:

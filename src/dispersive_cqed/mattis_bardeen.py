@@ -238,16 +238,15 @@ def sigma_tilde(freq: ComplexFreq) -> complex:
     z2 = sqrt(1 - k1^2 k^2)/k'.  The incomplete corrections vanish
     quadratically as kappa -> 0, leaving the classic real-axis pair.  Each
     sign here was fixed against :func:`sigma_oracle`; do not "simplify"
-    them.  On the real axis (``kappa == 0``, either side of the gap) it
-    returns :func:`sigma_real_axis`.  Below the gap with ``kappa > 0`` it
-    raises DomainError, as the surface impedance does: the film is lossless
-    there.  K and E at each modulus, and the incomplete F and E at
-    (z2, k'), share one R_F per pair.
+    them.  On the real axis (``kappa == 0``, either side of the gap and at
+    the edge itself) it returns :func:`sigma_real_axis`; off it, within 1e-6
+    of the edge, :func:`moduli` raises GapSingularity.  Below the gap with
+    ``kappa > 0`` it raises DomainError, as the surface impedance does: the
+    film is lossless there.  K and E at each modulus, and the incomplete F
+    and E at (z2, k'), share one R_F per pair.
     """
     nu, kap = freq.nu, freq.kappa
     _check_real_below_gap(nu, kap)
-    if nu <= 2.0:
-        _check_gap_edge(nu, kap)
     if kap == 0.0:
         return sigma_real_axis(nu)
     m = moduli(freq)

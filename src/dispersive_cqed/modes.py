@@ -7,7 +7,10 @@ series capacitance at its position.  The spatial eigenproblem is material
 independent: wave numbers ``k_n`` solve a secular equation fixed entirely by
 the boundary conditions and the delta jumps, and the mode functions are
 piecewise combinations of cos(kx), sin(kx) normalized with the delta-weighted
-inner product ``int ell_m c(x) Psi^2 dx = 1``.
+inner product ``int ell_m c(x) Psi^2 dx = 1``.  One builder, ``_bare_stack``,
+makes the bare modes of a line as arrays over all wave numbers at once, and
+every mode list (``resonator_modes``, ``dispersive_modes``, a report's) is
+made from those arrays.
 
 The material enters through the dispersion relation: the complex mode
 frequency is the fixed point of
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,8 +92,8 @@ class ResonatorGeometry:
         """Propagation speed 1/sqrt(ell_m c) of the unloaded line, m/s."""
         return 1.0 / math.sqrt(self.ell_m * self.c_per_len)
 
-    def bare_frequency_ghz(self, k: float) -> float:
-        """Lossless mode frequency k v / (2 pi) in GHz."""
+    def bare_frequency_ghz(self, k):
+        """Lossless mode frequency k v / (2 pi) in GHz; scalar or ndarray ``k``."""
         return k * self.bare_velocity / _TWO_PI_GHZ
 
 
@@ -117,7 +120,8 @@ class Mode:
     nu component = oscillation frequency, kappa component = decay rate.  For a
     lossless construction kappa is exactly 0.  ``segment_amplitudes`` holds
     (P_i, Q_i) with Psi(x) = norm * (P_i cos(k x) + Q_i sin(k x)) on the i-th
-    inter-qubit segment.
+    inter-qubit segment.  ``k_n``, ``norm`` and the amplitudes are Python
+    floats, read from the arrays of ``_bare_stack``.
     """
 
     n: int
@@ -206,10 +210,17 @@ def secular_roots(geometry: ResonatorGeometry, n_max: int) -> np.ndarray:
     )
 
 
-def _raw_segments(k: float, geometry: ResonatorGeometry) -> list[tuple[float, float]]:
-    """Un-normalized (P, Q) per segment: continuity plus the derivative jumps."""
+def _bare_stack(geometry: ResonatorGeometry, n_max: int):
+    """(k, norm, amplitudes) of the lossless modes 1..n_max, as ``_eval_segments`` takes them.
+
+    One array step over the secular roots: the un-normalized (P, Q) of each
+    segment follow from continuity and the derivative jump at each load, and
+    ``norm`` makes ell_m (c int Psi^2 dx + sum_j C_sj Psi(x_j)^2) = 1, with the
+    square integral of each segment exact.
+    """
+    k = secular_roots(geometry, n_max)
     c = geometry.c_per_len
-    p, q = 1.0, 0.0
+    p, q = np.ones_like(k), np.zeros_like(k)
     segments = []
     for load in geometry.qubits:
         xq, ctilde = load.position, load.c_series / c
@@ -222,35 +233,29 @@ def _raw_segments(k: float, geometry: ResonatorGeometry) -> list[tuple[float, fl
             # interior amplitudes are unaffected.
             continue
         segments.append((p, q))
-        psi = p * math.cos(k * xq) + q * math.sin(k * xq)
+        cos, sin = np.cos(k * xq), np.sin(k * xq)
+        psi = p * cos + q * sin
         # Psi'(x+) = Psi'(x-) - k^2 (C_s/c) Psi(x); in (P, Q) form the slope
         # coefficient is Psi'/k = -P sin + Q cos, so Q jumps in the
         # cos-projection: dQ = -k Ctilde Psi * cos, dP = +k Ctilde Psi * sin.
-        p = p + k * ctilde * psi * math.sin(k * xq)
-        q = q - k * ctilde * psi * math.cos(k * xq)
+        p = p + k * ctilde * psi * sin
+        q = q - k * ctilde * psi * cos
     segments.append((p, q))
-    return segments
-
-
-def _segment_square_integral(p: float, q: float, k: float, a: float, b: float) -> float:
-    """Exact integral of (P cos kx + Q sin kx)^2 over [a, b]."""
-    s = (p * p + q * q) * 0.5 * (b - a)
-    s += (p * p - q * q) * (math.sin(2 * k * b) - math.sin(2 * k * a)) / (4 * k)
-    s += p * q * (math.cos(2 * k * a) - math.cos(2 * k * b)) / (2 * k)
-    return s
-
-
-def _normalization(k: float, geometry: ResonatorGeometry, segments) -> float:
     breaks = _segment_breaks(geometry)
-    total = 0.0
+    total = np.zeros_like(k)
     for (p, q), a, b in zip(segments, breaks[:-1], breaks[1:]):
-        total += geometry.c_per_len * _segment_square_integral(p, q, k, a, b)
+        # Exact integral of (P cos kx + Q sin kx)^2 over [a, b].
+        s = (p * p + q * q) * 0.5 * (b - a)
+        s += (p * p - q * q) * (np.sin(2 * k * b) - np.sin(2 * k * a)) / (4 * k)
+        s += p * q * (np.cos(2 * k * a) - np.cos(2 * k * b)) / (2 * k)
+        total += c * s
+    amplitudes = np.stack([np.stack(pq, axis=-1) for pq in segments], axis=1)
     positions = np.array([load.position for load in geometry.qubits])
-    at_loads = _eval_segments(positions, np.array([k]), np.ones(1), np.array([segments]), geometry)
-    for load, psi in zip(geometry.qubits, at_loads[0].tolist()):
+    at_loads = _eval_segments(positions, k, np.ones_like(k), amplitudes, geometry)
+    for load, psi in zip(geometry.qubits, at_loads.T):
         total += load.c_series * psi * psi
     total *= geometry.ell_m
-    return 1.0 / math.sqrt(total)
+    return k, 1.0 / np.sqrt(total), amplitudes
 
 
 def _eval_segments(
@@ -281,22 +286,19 @@ def _stack(modes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def build_mode(n: int, k: float, geometry: ResonatorGeometry) -> Mode:
-    """Assemble a lossless Mode (kappa = 0) for wave number ``k``."""
-    segments = _raw_segments(k, geometry)
-    norm = _normalization(k, geometry, segments)
-    return Mode(
-        n=n,
-        k_n=k,
-        omega_n=ComplexFreq(geometry.bare_frequency_ghz(k), 0.0),
-        norm=norm,
-        segment_amplitudes=tuple((p, q) for p, q in segments),
-    )
+def _modes(stack, frequencies) -> list[Mode]:
+    """Modes 1..N from a :func:`_bare_stack` and one ComplexFreq per mode."""
+    k, norm, amplitudes = (a.tolist() for a in stack)
+    return [Mode(n, k_n, omega_n, norm_n, tuple(map(tuple, segments)))
+            for n, (k_n, omega_n, norm_n, segments)
+            in enumerate(zip(k, frequencies, norm, amplitudes), start=1)]
 
 
 def resonator_modes(geometry: ResonatorGeometry, n_max: int) -> list[Mode]:
-    """Lossless modes 1..n_max from the secular roots."""
-    return [build_mode(n + 1, k, geometry) for n, k in enumerate(secular_roots(geometry, n_max))]
+    """Lossless modes 1..n_max (kappa = 0) from the secular roots."""
+    stack = _bare_stack(geometry, n_max)
+    nu = geometry.bare_frequency_ghz(stack[0]).tolist()
+    return _modes(stack, [ComplexFreq(f, 0.0) for f in nu])
 
 
 def mode_function(mode: Mode, geometry: ResonatorGeometry, x) -> np.ndarray | float:
@@ -442,17 +444,9 @@ def dispersive_modes(
     options: FixedPointOptions = FixedPointOptions(),
 ) -> list[Mode]:
     """Modes 1..n_max with complex eigenfrequencies from the dispersion fixed point."""
-    return _with_eigenfrequencies(resonator_modes(geometry, n_max), material, geometry, options)
-
-
-def _with_eigenfrequencies(
-    lossless, material: Material, geometry: ResonatorGeometry, options: FixedPointOptions
-) -> list[Mode]:
-    """Copies of lossless modes carrying their dispersion fixed points."""
-    return [
-        replace(m, omega_n=fixed_point_eigenfrequency(m.k_n, material, geometry, options))
-        for m in lossless
-    ]
+    stack = _bare_stack(geometry, n_max)
+    return _modes(stack, [fixed_point_eigenfrequency(k, material, geometry, options)
+                          for k in stack[0]])
 
 
 def _mode_matrix(modes, geometry: ResonatorGeometry, x: np.ndarray) -> np.ndarray:

@@ -943,7 +943,7 @@ def _reference_record(spectrum, geometry, qubit):
     """A report rebuilt the slow way: Python complex N+/(W - p) + N-/(W + conj(p)) per
     mode from the spectrum's poles and ``_numerators``, ``np.cumsum`` and the
     dispersionless comparator d^2 (nu psi^2 (1/(W - nu) - 1/(W + nu))) 1e3."""
-    at_qubit = modes_module._mode_matrix(spectrum.lossless, geometry, np.array([qubit.x_q]))
+    at_qubit = modes_module._eval_segments(np.array([qubit.x_q]), *spectrum.stack, geometry)
     psi = at_qubit[:, 0] * _amp_scale(geometry)
     w, d = qubit.omega_q, qubit.dipole_prefactor
     numerators = lightmatter._numerators(spectrum.poles, psi.tolist(), d)

@@ -28,7 +28,10 @@ from dispersive_cqed.modes import (
     Mode,
     QubitLoad,
     ResonatorGeometry,
+    _bare_stack,
+    _eval_segments,
     _mode_matrix,
+    _segment_breaks,
     _simpson,
     completeness_residual,
     derive_line_constants,
@@ -228,6 +231,99 @@ class TestModeKernel:
                 mode_function(m, THREE_LOADS, x)
         with pytest.raises(DomainError):
             _mode_matrix(THREE_LOAD_MODES, THREE_LOADS, np.array([0.5 * L, 1.5 * L]))
+
+
+def _raw_segments(k, geometry):
+    """Un-normalized (P, Q) per segment of one mode: the per-mode build the
+    array builder replaced, kept verbatim as its oracle."""
+    c = geometry.c_per_len
+    p, q = 1.0, 0.0
+    segments = []
+    for load in geometry.qubits:
+        xq, ctilde = load.position, load.c_series / c
+        if xq == 0.0:
+            q = q - k * ctilde * p
+            continue
+        if xq == geometry.length:
+            continue
+        segments.append((p, q))
+        psi = p * math.cos(k * xq) + q * math.sin(k * xq)
+        p = p + k * ctilde * psi * math.sin(k * xq)
+        q = q - k * ctilde * psi * math.cos(k * xq)
+    segments.append((p, q))
+    return segments
+
+
+def _segment_square_integral(p, q, k, a, b):
+    """Exact integral of (P cos kx + Q sin kx)^2 over [a, b]."""
+    s = (p * p + q * q) * 0.5 * (b - a)
+    s += (p * p - q * q) * (math.sin(2 * k * b) - math.sin(2 * k * a)) / (4 * k)
+    s += p * q * (math.cos(2 * k * a) - math.cos(2 * k * b)) / (2 * k)
+    return s
+
+
+def _normalization(k, geometry, segments):
+    breaks = _segment_breaks(geometry)
+    total = 0.0
+    for (p, q), a, b in zip(segments, breaks[:-1], breaks[1:]):
+        total += geometry.c_per_len * _segment_square_integral(p, q, k, a, b)
+    positions = np.array([load.position for load in geometry.qubits])
+    at_loads = _eval_segments(positions, np.array([k]), np.ones(1), np.array([segments]), geometry)
+    for load, psi in zip(geometry.qubits, at_loads[0].tolist()):
+        total += load.c_series * psi * psi
+    total *= geometry.ell_m
+    return 1.0 / math.sqrt(total)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+BARE_LINES = {
+    **{path.stem: load_run_config(path).geometry for path in bundled_geometry_configs()},
+    "three_loads": THREE_LOADS,
+    "two_interior": bare_geometry(qubits=(QubitLoad(0.3 * L, 1e-14), QubitLoad(0.7 * L, 2e-14))),
+    "unloaded": bare_geometry(),
+}
+
+
+class TestBareStack:
+    """The one array builder of the bare modes against the per-mode build, bit for bit."""
+
+    @pytest.mark.parametrize("n_max", [600, 2500])
+    @pytest.mark.parametrize("line", sorted(BARE_LINES))
+    def test_stack_equals_the_per_mode_build(self, line, n_max):
+        geometry = BARE_LINES[line]
+        k, norm, amplitudes = _bare_stack(geometry, n_max)
+        assert k.dtype == norm.dtype == amplitudes.dtype == np.float64
+        assert amplitudes.shape == (n_max, _segment_breaks(geometry).size - 1, 2)
+        assert _hex(k) == _hex(secular_roots(geometry, n_max))
+        want_norm, want_amplitudes = [], []
+        for k_n in k:
+            segments = _raw_segments(k_n, geometry)
+            want_norm.append(_normalization(k_n, geometry, segments))
+            want_amplitudes.extend(v for pq in segments for v in pq)
+        assert _hex(norm) == _hex(want_norm)
+        assert _hex(amplitudes.ravel()) == _hex(want_amplitudes)
+        modes = resonator_modes(geometry, n_max)
+        assert _hex(m.k_n for m in modes) == _hex(k)
+        assert _hex(m.norm for m in modes) == _hex(norm)
+        assert _hex(m.omega_n.nu for m in modes) == _hex(
+            geometry.bare_frequency_ghz(k_n) for k_n in k)
+        assert all(m.omega_n.kappa == 0.0 for m in modes)
+        assert [m.n for m in modes] == list(range(1, n_max + 1))
+        assert _hex(v for m in modes for pq in m.segment_amplitudes for v in pq) == _hex(
+            amplitudes.ravel())
+
+    def test_numpy_sin_cos_equal_math(self):
+        # The stack is bit-identical to the per-mode build only if numpy's
+        # sin and cos round as the math module's do, on every argument k x
+        # and 2 k x that the deepest lines (N = 2,500) reach.
+        top = 2.0 * secular_roots(make_geometry(), 2500)[-1] * L
+        x = np.linspace(0.0, 1.01 * top, 200_001)
+        xs = x.tolist()
+        assert _hex(np.sin(x)) == _hex(map(math.sin, xs))
+        assert _hex(np.cos(x)) == _hex(map(math.cos, xs))
 
 
 class TestSimpson:
