@@ -2,7 +2,8 @@
 
 Every subcommand reads one structured config file (YAML) with sections
 
-    material:  {preset} or {gap_frequency, limit_regime, impedance_prefactor, name}
+    material:  {preset, impedance_prefactor}
+               or {gap_frequency, limit_regime, impedance_prefactor, name}
     geometry:  {f0, z0, length, g_geom, qubits: [{position, c_series}, ...]}
                or {ell_m, c_per_len, length, g_geom, qubits: [...]}
     qubit:     {omega_q, x_q, dipole_prefactor}
@@ -11,7 +12,13 @@ Every subcommand reads one structured config file (YAML) with sections
 
 Frequencies at this boundary are ordinary frequencies in GHz; reduced units
 appear only in conductivity tables (labelled nu/kappa).  Unknown keys are
-rejected.  Exit codes: 0 success, 2 config error (nothing written) or
+rejected, and a null counts as absent.  A number is a YAML number or a
+numeric string (YAML reads 1e-14 as a string), never a boolean; N_max,
+max_iter and precision must be whole numbers; name and path must be
+strings and qubits a list.  A malformed value is a config error naming its
+key.  lamb-shift --model all writes a curve that is undefined (below_bandgap
+when every mode lies above the gap) as nan, null in JSON, with a note on
+stderr.  Exit codes: 0 success, 2 config error (nothing written) or
 output that cannot be written, 3 numerical failure (partial table written,
 with a status column appended).  Missing parent directories of the output
 path are created.  A write error exits 2 even when a table failed, since
@@ -29,7 +36,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +52,8 @@ from .impedance import (
     niobium,
     surface_impedance,
 )
-from .lightmatter import QubitParams, coupling_strength, lamb_shift_report, spectral_density
+from .lightmatter import (_MODELS, QubitParams, coupling_strength, lamb_shift_report,
+                          spectral_density)
 from .mattis_bardeen import ComplexFreq, sigma_oracle, sigma_tilde
 from .modes import (
     FixedPointOptions,
@@ -56,128 +64,111 @@ from .modes import (
 )
 
 _EXIT_OK, _EXIT_CONFIG, _EXIT_NUMERICAL = 0, 2, 3
-_DEFAULT_PRECISION = 12
-_DEFAULT_N_MAX = 30
-
-_PRESETS = {"aluminum": aluminum, "niobium": niobium}
-_REGIMES = {
-    "extreme_anomalous": LimitRegime.EXTREME_ANOMALOUS,
-    "dirty": LimitRegime.DIRTY,
-}
 
 
 # ---------------------------------------------------------------------------
 # config ingestion
 
+# Each config section's key table: key -> (kind, default), read by _read.
+_REQUIRED = object()
+_CONFIG = {"material": (dict, None), "geometry": (dict, None), "qubit": (dict, None),
+           "solver": (dict, {}), "output": (dict, {})}
+_MATERIAL = {
+    "preset": ({"aluminum": aluminum, "niobium": niobium}, None),
+    "gap_frequency": (float, None),
+    "limit_regime": ({"extreme_anomalous": LimitRegime.EXTREME_ANOMALOUS,
+                      "dirty": LimitRegime.DIRTY}, None),
+    "impedance_prefactor": (float, None),
+    "name": (str, None),
+}
+_GEOMETRY = {
+    "f0": (float, None), "z0": (float, 50.0), "ell_m": (float, None), "c_per_len": (float, None),
+    "length": (float, _REQUIRED), "g_geom": (float, _REQUIRED), "qubits": (list, []),
+}
+_LOAD = {"position": (float, _REQUIRED), "c_series": (float, _REQUIRED)}
+_QUBIT = {"omega_q": (float, _REQUIRED), "x_q": (float, _REQUIRED),
+          "dipole_prefactor": (float, QubitParams.dipole_prefactor)}
+_SOLVER = {"tol": (float, FixedPointOptions.tol), "max_iter": (int, FixedPointOptions.max_iter),
+           "N_max": (int, 30)}
+_OUTPUT = {"format": ({"csv": "csv", "json": "json"}, "csv"), "path": (str, None),
+           "precision": (int, 12)}
+_KIND_NAMES = {float: "a number", int: "a whole number", str: "a string", list: "a list",
+               dict: "a mapping"}
 
-def _check_keys(section: dict, allowed: set[str], context: str) -> None:
-    unknown = sorted(set(section) - allowed)
+
+def _convert(value, kind, name: str):
+    """``value`` as a ``kind`` of :func:`_read`, or a ConfigError naming the key."""
+    if isinstance(kind, dict):  # one of a fixed set of names
+        if isinstance(value, str) and value in kind:
+            return kind[value]
+        raise ConfigError(f"{name} must be one of {', '.join(sorted(kind))}, got {value!r}")
+    if kind in (float, int):
+        try:
+            number = None if isinstance(value, bool) else float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = None
+        if number is not None and (kind is float or number.is_integer()):
+            return kind(number)
+    elif isinstance(value, kind):
+        return value
+    raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _read(section, table: dict, context: str) -> dict:
+    """The values of one config section, checked against its key table.
+
+    A table maps each key to (kind, default).  The kind is float (a number:
+    a YAML number or a numeric string, not a boolean), int (a number with an
+    integral value), str, list, dict (a mapping), or a dict of the allowed
+    names, which gives the value a name maps to.  A null counts as absent.
+    An absent key takes its default, is an error if that is _REQUIRED, and
+    is left out of the result if it is None (a default that depends on
+    other keys).  Unknown keys are errors.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{context} must be a mapping, got {type(section).__name__}")
+    unknown = sorted(map(str, set(section) - set(table)))
     if unknown:
         raise ConfigError(f"unknown key(s) in {context}: {', '.join(unknown)}")
-
-
-def _as_mapping(obj, context: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context} must be a mapping, got {type(obj).__name__}")
-    return obj
+    values = {}
+    for key, (kind, default) in table.items():
+        if section.get(key) is not None:
+            values[key] = _convert(section[key], kind, f"{context}.{key}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"{context}.{key} is required")
+        elif default is not None:
+            values[key] = default
+    return values
 
 
 def _build_material(section: dict) -> Material:
-    _check_keys(
-        section,
-        {"preset", "gap_frequency", "limit_regime", "impedance_prefactor", "name"},
-        "material",
-    )
-    if "preset" in section:
-        preset = section["preset"]
-        if preset not in _PRESETS:
-            raise ConfigError(
-                f"unknown material preset {preset!r}; choose from {sorted(_PRESETS)}"
-            )
-        material = _PRESETS[preset]()
-        if "impedance_prefactor" in section:
-            material = replace(
-                material, impedance_prefactor=float(section["impedance_prefactor"])
-            )
+    values = _read(section, _MATERIAL, "material")
+    preset = values.pop("preset", None)
+    if preset is not None:
         for key in ("gap_frequency", "limit_regime", "name"):
-            if key in section:
+            if key in values:
                 raise ConfigError(f"material.{key} cannot be combined with a preset")
-        return material
+        return preset(**values)
     for key in ("gap_frequency", "limit_regime", "impedance_prefactor"):
-        if key not in section:
+        if key not in values:
             raise ConfigError(f"material.{key} is required without a preset")
-    regime = section["limit_regime"]
-    if regime not in _REGIMES:
-        raise ConfigError(
-            f"material.limit_regime must be one of {sorted(_REGIMES)}, got {regime!r}"
-        )
-    return Material(
-        gap_frequency=float(section["gap_frequency"]),
-        limit_regime=_REGIMES[regime],
-        impedance_prefactor=float(section["impedance_prefactor"]),
-        name=str(section.get("name", "custom")),
-    )
+    return Material(**values)
 
 
 def _build_geometry(section: dict) -> ResonatorGeometry:
-    _check_keys(
-        section,
-        {"f0", "z0", "length", "g_geom", "ell_m", "c_per_len", "qubits"},
-        "geometry",
-    )
-    if "length" not in section or "g_geom" not in section:
-        raise ConfigError("geometry.length and geometry.g_geom are required")
-    length = float(section["length"])
-    if "f0" in section:
-        if "ell_m" in section or "c_per_len" in section:
+    values = _read(section, _GEOMETRY, "geometry")
+    if "f0" in values:
+        if "ell_m" in values or "c_per_len" in values:
             raise ConfigError("geometry: give either f0/z0 or ell_m/c_per_len, not both")
-        ell_m, c_per_len = derive_line_constants(
-            float(section["f0"]), float(section.get("z0", 50.0)), length
-        )
-    elif "ell_m" in section and "c_per_len" in section:
-        ell_m, c_per_len = float(section["ell_m"]), float(section["c_per_len"])
+        ell_m, c_per_len = derive_line_constants(values["f0"], values["z0"], values["length"])
+    elif "ell_m" in values and "c_per_len" in values:
+        ell_m, c_per_len = values["ell_m"], values["c_per_len"]
     else:
         raise ConfigError("geometry needs f0 (with optional z0) or ell_m and c_per_len")
-    qubits = []
-    for i, entry in enumerate(section.get("qubits") or []):
-        entry = _as_mapping(entry, f"geometry.qubits[{i}]")
-        _check_keys(entry, {"position", "c_series"}, f"geometry.qubits[{i}]")
-        if "position" not in entry or "c_series" not in entry:
-            raise ConfigError(f"geometry.qubits[{i}] needs position and c_series")
-        qubits.append(
-            QubitLoad(position=float(entry["position"]), c_series=float(entry["c_series"]))
-        )
-    return ResonatorGeometry(
-        length=length,
-        ell_m=ell_m,
-        c_per_len=c_per_len,
-        g_geom=float(section["g_geom"]),
-        qubits=tuple(qubits),
-    )
-
-
-def _build_qubit(section: dict) -> QubitParams:
-    _check_keys(section, {"omega_q", "x_q", "dipole_prefactor"}, "qubit")
-    if "omega_q" not in section or "x_q" not in section:
-        raise ConfigError("qubit.omega_q and qubit.x_q are required")
-    return QubitParams(
-        omega_q=float(section["omega_q"]),
-        x_q=float(section["x_q"]),
-        dipole_prefactor=float(section.get("dipole_prefactor", 1.0)),
-    )
-
-
-def _build_solver(section: dict) -> tuple[FixedPointOptions, int]:
-    _check_keys(section, {"tol", "max_iter", "N_max"}, "solver")
-    defaults = FixedPointOptions()
-    options = FixedPointOptions(
-        tol=float(section.get("tol", defaults.tol)),
-        max_iter=int(section.get("max_iter", defaults.max_iter)),
-    )
-    n_max = int(section.get("N_max", _DEFAULT_N_MAX))
-    if n_max < 1:
-        raise ConfigError(f"solver.N_max must be >= 1, got {n_max}")
-    return options, n_max
+    qubits = [QubitLoad(**_read(entry, _LOAD, f"geometry.qubits[{i}]"))
+              for i, entry in enumerate(values["qubits"])]
+    return ResonatorGeometry(length=values["length"], ell_m=ell_m, c_per_len=c_per_len,
+                             g_geom=values["g_geom"], qubits=tuple(qubits))
 
 
 @dataclass
@@ -206,40 +197,34 @@ def load_run_config(
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-    raw = _as_mapping(raw if raw is not None else {}, "config")
-    _check_keys(raw, {"material", "geometry", "qubit", "solver", "output"}, "config")
+    sections = _read({} if raw is None else raw, _CONFIG, "config")
 
-    material = geometry = qubit = None
-    if "material" in raw:
-        material = _build_material(_as_mapping(raw["material"], "material"))
-    if "geometry" in raw:
-        geometry = _build_geometry(_as_mapping(raw["geometry"], "geometry"))
-    if "qubit" in raw:
-        qubit = _build_qubit(_as_mapping(raw["qubit"], "qubit"))
+    material = _build_material(sections["material"]) if "material" in sections else None
+    geometry = _build_geometry(sections["geometry"]) if "geometry" in sections else None
+    qubit = None
+    if "qubit" in sections:
+        qubit = QubitParams(**_read(sections["qubit"], _QUBIT, "qubit"))
         if geometry is not None and qubit.x_q > geometry.length:
             raise ConfigError(
                 f"qubit.x_q = {qubit.x_q} lies beyond geometry.length = {geometry.length}"
             )
-    solver, n_max = _build_solver(_as_mapping(raw.get("solver", {}), "solver"))
+    solver = _read(sections["solver"], _SOLVER, "solver")
+    n_max = solver.pop("N_max")
+    if n_max < 1:
+        raise ConfigError(f"solver.N_max must be >= 1, got {n_max}")
 
-    out = _as_mapping(raw.get("output", {}), "output")
-    _check_keys(out, {"format", "path", "precision"}, "output")
-    out_format = format_override or out.get("format", "csv")
-    if out_format not in ("csv", "json"):
-        raise ConfigError(f"output format must be csv or json, got {out_format!r}")
-    out_path = out_override or out.get("path")
-    precision = int(out.get("precision", _DEFAULT_PRECISION))
-    if not 1 <= precision <= 17:
-        raise ConfigError(f"output.precision must be in [1, 17], got {precision}")
+    out = _read(sections["output"], _OUTPUT, "output")
+    if not 1 <= out["precision"] <= 17:
+        raise ConfigError(f"output.precision must be in [1, 17], got {out['precision']}")
     return RunConfig(
         material=material,
         geometry=geometry,
         qubit=qubit,
-        solver=solver,
+        solver=FixedPointOptions(**solver),
         n_max=n_max,
-        out_format=out_format,
-        out_path=out_path,
-        precision=precision,
+        out_format=format_override or out["format"],
+        out_path=out_override or out.get("path"),
+        precision=out["precision"],
     )
 
 
@@ -509,12 +494,18 @@ def _cmd_lamb_shift(run: RunConfig, args: argparse.Namespace) -> list[Table]:
         per_mode.rows.append([n, term.real, term.imag])
 
     # Only the requested curves: below_bandgap is undefined when every mode
-    # lies above the gap, and the other models must still print there.
-    if args.model == "all":
-        curves = report.convergence_curves()
-    else:
-        curves = {args.model: report.convergence_curve(args.model)}
-    models = list(curves)
+    # lies above the gap, and the other models must still print there.  A
+    # run that asks for all of them writes an undefined one as nan.
+    models = list(_MODELS) if args.model == "all" else [args.model]
+    curves = {}
+    for model in models:
+        try:
+            curves[model] = report.convergence_curve(model)
+        except DomainError as exc:
+            if args.model != "all":
+                raise
+            print(f"{model} curve undefined ({exc}); written as nan", file=sys.stderr)
+            curves[model] = [math.nan] * run.n_max
     convergence = Table(
         name="convergence",
         columns=["M"] + (["value"] if len(models) == 1 else models),

@@ -87,6 +87,9 @@ class TestConfigErrors:
         cfg = base_config()
         cfg["geometry"]["qubits"][0]["label"] = "q0"
         self.check(tmp_path, capsys, cfg, ["modes"], "label")
+        cfg = base_config()
+        cfg["solver"][7] = 1  # a key YAML reads as an integer
+        self.check(tmp_path, capsys, cfg, ["modes"], "unknown key(s) in solver: 7")
 
     def test_preset_conflicts_and_missing_fields(self, tmp_path, capsys):
         cfg = base_config()
@@ -204,6 +207,61 @@ class TestConfigErrors:
         cfg = base_config(n_max=4)
         cfg["solver"][key] = value
         self.check(tmp_path, capsys, cfg, ["modes"], key)
+
+    @pytest.mark.parametrize("section, key, value", [
+        # each raised an exception other than ConfigError
+        ("geometry", "g_geom", "abc"),
+        ("material", "impedance_prefactor", "big"),
+        ("solver", "tol", "tight"),
+        ("solver", "N_max", "many"),
+        ("output", "precision", "x"),
+        ("solver", "N_max", math.inf),
+        ("solver", "N_max", math.nan),
+        ("output", "precision", math.inf),
+        ("qubit", "omega_q", None),
+        ("qubit", "omega_q", [5.0]),
+        ("geometry", "qubits", 5),
+        ("material", "preset", ["aluminum"]),
+        ("material", "limit_regime", ["dirty"]),
+        ("output", "path", 123),
+        # each was coerced: truncated to an integer, or a boolean read as 1.0
+        ("solver", "N_max", 2.7),
+        ("solver", "max_iter", 1.5),
+        ("output", "precision", 3.9),
+        ("geometry", "g_geom", True),
+        # refused before, by a message that did not name output.format
+        ("output", "format", 5),
+    ])
+    def test_malformed_value_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                               section, key, value):
+        # In process, so that any other exception fails the test; no --out and
+        # a relative output.path, so that the working directory must stay empty.
+        monkeypatch.chdir(tmp_path)
+        cfg = base_config(n_max=4)
+        cfg["output"]["path"] = "never.csv"
+        if key == "limit_regime":  # given only without a preset
+            cfg["material"] = {"gap_frequency": 87.0, "impedance_prefactor": CALIBRATED_A}
+        cfg[section][key] = value
+        path = tmp_path / "config" / "run.yaml"
+        path.parent.mkdir()
+        path.write_text(yaml.safe_dump(cfg))
+        assert run_cli(["modes", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("config error: ") and f"{section}.{key}" in line
+        assert [p.name for p in tmp_path.iterdir()] == ["config"]
+
+    @pytest.mark.parametrize("usual, spelling", [
+        ("c_series: 1.0e-14", "c_series: 1e-14"),  # YAML 1.1 reads 1e-14 as a string
+        ("N_max: 30", "N_max: 30.0"),
+        ("x_q: 0.0", "x_q: 0.0\n  dipole_prefactor: null"),  # null is absent: the default
+    ])
+    def test_accepted_spellings_load_the_same_config(self, tmp_path, usual, spelling):
+        text = bundled_geometry_configs()[0].read_text()
+        assert text.count(usual) == 1
+        path = write_config(tmp_path, text.replace(usual, spelling))
+        assert load_run_config(path) == load_run_config(bundled_geometry_configs()[0])
 
     @pytest.mark.parametrize("key, value", [("relaxation", 0.5), ("epsilon_gap", 1e-3)])
     def test_removed_solver_keys_are_unknown(self, tmp_path, capsys, key, value):
@@ -405,18 +463,41 @@ class TestLambShift:
         assert payload["totals"]["rows"][0][0] == "dispersion"
 
 
-    def test_all_modes_above_gap_is_a_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_all_modes_above_gap_writes_the_undefined_curve_as_nan(self, tmp_path, capsys, fmt):
+        # --model all prints the two defined curves and all three totals; the
+        # undefined below-bandgap column is nan (null in JSON), noted on stderr.
         cfg = base_config(n_max=6)
         cfg["material"] = {
             "gap_frequency": 4.0,
             "limit_regime": "extreme_anomalous",
             "impedance_prefactor": CALIBRATED_A,
         }
-        out = tmp_path / "shift.csv"
-        rc = run_cli(["lamb-shift", "--config", write_config(tmp_path, cfg), "--out", str(out)])
-        assert rc == 2
-        assert "total shift vanishes" in capsys.readouterr().err
-        assert not out.exists()
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / f"shift.{fmt}"
+        rc = run_cli(["lamb-shift", "--config", path, "--out", str(out), "--format", fmt])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "below_bandgap curve undefined (total shift vanishes; normalized curve undefined); "
+            "written as nan\n")
+        if fmt == "csv":
+            meta, columns, rows = parse_csv((tmp_path / "shift.convergence.csv").read_text())
+            totals = parse_csv((tmp_path / "shift.totals.csv").read_text())[2]
+            undefined = "nan"
+        else:
+            payload = json.loads(out.read_text())
+            convergence = payload["convergence"]
+            meta, columns, rows = (convergence[k] for k in ("metadata", "columns", "rows"))
+            totals = payload["totals"]["rows"]
+            undefined = None
+        assert meta["models"] == "dispersion,below_bandgap,no_dispersion"
+        assert columns == ["M", "dispersion", "below_bandgap", "no_dispersion"]
+        assert [row[2] for row in rows] == [undefined] * 6
+        assert all(math.isfinite(float(row[c])) for row in rows for c in (1, 3))
+        assert float(rows[-1][1]) == float(rows[-1][3]) == 1.0
+        totals = {name: float(value) for name, value in totals}
+        assert totals["below_bandgap"] == 0.0
+        assert totals["dispersion"] < 0.0 and totals["no_dispersion"] < 0.0
 
     @pytest.mark.parametrize("model", ["dispersion", "no_dispersion"])
     def test_all_modes_above_gap_prints_the_defined_curves(self, tmp_path, model):

@@ -538,6 +538,22 @@ class TestNearGap:
         assert [w.category for w in caught] == [GapStraddle]
         assert len(info.value.residual_history) == len(calls) > 0
 
+    @pytest.mark.parametrize("n", [16, 20, 30])
+    def test_restart_toward_the_above_gap_side(self, n):
+        # Iterates from the bare frequency only ever cross the gap downward;
+        # a seed below the gap for an above-gap root is what restarts from
+        # just above the edge.  The root must not depend on the way there.
+        run = load_run_config(bundled_geometry_configs()[0])
+        k = secular_roots(run.geometry, n)[-1]
+        ref = fixed_point_eigenfrequency(k, run.material, run.geometry)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", GapStraddle)
+            om = fixed_point_eigenfrequency(k, run.material, run.geometry, seed_ghz=86.0)
+        assert [w.category for w in caught] == [GapStraddle]
+        assert run.material.above_gap(ref.nu) and not run.material.above_gap(86.0)
+        root, ref_c = complex(om.nu, om.kappa), complex(ref.nu, ref.kappa)
+        assert abs(root - ref_c) / abs(ref_c) <= 1e-9
+
     def test_seed_refused_by_the_impedance_is_a_domain_error(self):
         geo = make_geometry()
         k = secular_roots(geo, 1)[0]
