@@ -1,6 +1,6 @@
 """Command line driver: config ingestion, subcommands, deterministic emission.
 
-Every subcommand reads one structured config file (YAML) with sections
+Every model subcommand reads one structured config file (YAML) with sections
 
     material:  {preset, impedance_prefactor}
                or {gap_frequency, limit_regime, impedance_prefactor, name}
@@ -15,16 +15,32 @@ appear only in conductivity tables (labelled nu/kappa).  Unknown keys are
 rejected, and a null counts as absent.  A number is a YAML number or a
 numeric string (YAML reads 1e-14 as a string), never a boolean; N_max,
 max_iter and precision must be whole numbers; name and path must be
-strings and qubits a list.  A malformed value is a config error naming its
-key.  lamb-shift --model all writes a curve that is undefined (below_bandgap
-when every mode lies above the gap) as nan, null in JSON, with a note on
-stderr.  Exit codes: 0 success, 2 config error (nothing written) or
-output that cannot be written, 3 numerical failure (partial table written,
-with a status column appended).  Missing parent directories of the output
-path are created.  A write error exits 2 even when a table failed, since
-the status column did not reach the file; the files of a multi-file output
-are written one after another, so an earlier one, and the created
-directories, may remain.
+strings and qubits a list.  z0 (default 50 Ohm) goes only with f0: next to
+ell_m/c_per_len it is refused, since those fix the line alone.  A malformed
+value is a config error naming its key.  lamb-shift --model all writes a
+curve that is undefined (below_bandgap when every mode lies above the gap)
+as nan, null in JSON, with a note on stderr.
+
+Two experiment subcommands take flags instead of one config and always
+write CSV at 12 digits, under the header and file names of the scripts in
+scripts/, which call them:
+
+    family-sweep [--n-max 600] [--rescale-to MHZ] [--out PATH]
+        one row per bundled config: loaded fundamental, the three shift
+        totals and the 70% convergence index
+    mode-export [--config PATH] [--n-max 60] [--out-dir DIR]
+        <stem>.modes.csv (per-mode frequencies, couplings and shift terms)
+        and <stem>.convergence.csv (the three curves, an undefined one nan)
+
+Both report each config's gap-edge restarts on stderr.  Exit codes: 0
+success, 2 config error (nothing written) or output that cannot be
+written, 3 numerical failure (partial table written, with a status column
+appended; nothing written by the experiment subcommands).  Every error is
+one stderr line.  Missing parent directories of the output path are
+created.  A write error exits 2 even when a table failed, since the status
+column did not reach the file; the files of a multi-file output are
+written one after another, so an earlier one, and the created directories,
+may remain.
 
 Output is deterministic: identical config and flags produce byte-identical
 files (fixed float formatting, LF line endings, no timestamps).
@@ -36,7 +52,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,8 +68,8 @@ from .impedance import (
     niobium,
     surface_impedance,
 )
-from .lightmatter import (_MODELS, QubitParams, coupling_strength, lamb_shift_report,
-                          spectral_density)
+from .lightmatter import (_MODELS, LambShiftReport, QubitParams, coupling_strength,
+                          lamb_shift_report, rescaled, spectral_density)
 from .mattis_bardeen import ComplexFreq, sigma_oracle, sigma_tilde
 from .modes import (
     FixedPointOptions,
@@ -61,6 +77,7 @@ from .modes import (
     ResonatorGeometry,
     derive_line_constants,
     dispersive_modes,
+    resonator_modes,
 )
 
 _EXIT_OK, _EXIT_CONFIG, _EXIT_NUMERICAL = 0, 2, 3
@@ -82,7 +99,7 @@ _MATERIAL = {
     "name": (str, None),
 }
 _GEOMETRY = {
-    "f0": (float, None), "z0": (float, 50.0), "ell_m": (float, None), "c_per_len": (float, None),
+    "f0": (float, None), "z0": (float, None), "ell_m": (float, None), "c_per_len": (float, None),
     "length": (float, _REQUIRED), "g_geom": (float, _REQUIRED), "qubits": (list, []),
 }
 _LOAD = {"position": (float, _REQUIRED), "c_series": (float, _REQUIRED)}
@@ -160,8 +177,11 @@ def _build_geometry(section: dict) -> ResonatorGeometry:
     if "f0" in values:
         if "ell_m" in values or "c_per_len" in values:
             raise ConfigError("geometry: give either f0/z0 or ell_m/c_per_len, not both")
-        ell_m, c_per_len = derive_line_constants(values["f0"], values["z0"], values["length"])
+        ell_m, c_per_len = derive_line_constants(values["f0"], values.get("z0", 50.0),
+                                                 values["length"])
     elif "ell_m" in values and "c_per_len" in values:
+        if "z0" in values:
+            raise ConfigError("geometry.z0 applies only with f0, not with ell_m/c_per_len")
         ell_m, c_per_len = values["ell_m"], values["c_per_len"]
     else:
         raise ConfigError("geometry needs f0 (with optional z0) or ell_m and c_per_len")
@@ -172,15 +192,23 @@ def _build_geometry(section: dict) -> ResonatorGeometry:
 
 
 @dataclass
+class Output:
+    """Where and how :func:`_write_tables` writes a command's tables."""
+
+    path: str | None  # None: stdout
+    format: str = "csv"
+    precision: int = 12
+    tagged: bool = False  # the first CSV table also goes to a tagged sibling of path
+
+
+@dataclass
 class RunConfig:
     material: Material | None
     geometry: ResonatorGeometry | None
     qubit: QubitParams | None
     solver: FixedPointOptions
     n_max: int
-    out_format: str
-    out_path: str | None
-    precision: int
+    output: Output
 
 
 def load_run_config(
@@ -222,9 +250,8 @@ def load_run_config(
         qubit=qubit,
         solver=FixedPointOptions(**solver),
         n_max=n_max,
-        out_format=format_override or out["format"],
-        out_path=out_override or out.get("path"),
-        precision=out["precision"],
+        output=Output(out_override or out.get("path"), format_override or out["format"],
+                      out["precision"]),
     )
 
 
@@ -333,22 +360,27 @@ def _sibling_path(path: str, tag: str) -> str:
     return str(p.with_name(p.stem + "." + tag + (p.suffix or "")))
 
 
-def _write_tables(tables: list[Table], run: RunConfig) -> None:
-    if run.out_path:
-        Path(run.out_path).parent.mkdir(parents=True, exist_ok=True)
-    if run.out_format == "json":
-        text = _render_json(tables, run.precision)
-        if run.out_path:
-            Path(run.out_path).write_text(text, newline="\n")
+def _write_tables(tables: list[Table], out: Output) -> None:
+    """Write to stdout, to one JSON file, or each table to one CSV file.
+
+    The first CSV table goes to the path itself, unless the output is
+    tagged, and every other one to the sibling ``<stem>.<table name><suffix>``.
+    """
+    if out.path:
+        Path(out.path).parent.mkdir(parents=True, exist_ok=True)
+    if out.format == "json":
+        text = _render_json(tables, out.precision)
+        if out.path:
+            Path(out.path).write_text(text, newline="\n")
         else:
             sys.stdout.write(text)
         return
-    if run.out_path:
+    if out.path:
         for i, table in enumerate(tables):
-            path = run.out_path if i == 0 else _sibling_path(run.out_path, table.name)
-            Path(path).write_text(_render_csv(table, run.precision), newline="\n")
+            path = out.path if i == 0 and not out.tagged else _sibling_path(out.path, table.name)
+            Path(path).write_text(_render_csv(table, out.precision), newline="\n")
     else:
-        chunks = [_render_csv(t, run.precision) for t in tables]
+        chunks = [_render_csv(t, out.precision) for t in tables]
         sys.stdout.write("\n".join(chunks))
 
 
@@ -478,6 +510,25 @@ def _cmd_spectral_density(run: RunConfig, args: argparse.Namespace) -> list[Tabl
     return [table]
 
 
+def _curves(report: LambShiftReport, models: list[str]) -> dict:
+    """The normalized convergence curve of each model.
+
+    Only the requested curves: below_bandgap is undefined when every mode
+    lies above the gap, and the other models must still print there.  A run
+    that asks for more than one writes an undefined one as nan, with a note.
+    """
+    curves = {}
+    for model in models:
+        try:
+            curves[model] = report.convergence_curve(model)
+        except DomainError as exc:
+            if len(models) == 1:
+                raise
+            print(f"{model} curve undefined ({exc}); written as nan", file=sys.stderr)
+            curves[model] = [math.nan] * len(report.normalized_curve)
+    return curves
+
+
 def _cmd_lamb_shift(run: RunConfig, args: argparse.Namespace) -> list[Table]:
     _require(run, "lamb-shift", "material", "geometry", "qubit")
     material, geometry, qubit = run.material, run.geometry, run.qubit
@@ -493,19 +544,8 @@ def _cmd_lamb_shift(run: RunConfig, args: argparse.Namespace) -> list[Table]:
     for n, term in enumerate(report.per_mode_terms, start=1):
         per_mode.rows.append([n, term.real, term.imag])
 
-    # Only the requested curves: below_bandgap is undefined when every mode
-    # lies above the gap, and the other models must still print there.  A
-    # run that asks for all of them writes an undefined one as nan.
     models = list(_MODELS) if args.model == "all" else [args.model]
-    curves = {}
-    for model in models:
-        try:
-            curves[model] = report.convergence_curve(model)
-        except DomainError as exc:
-            if args.model != "all":
-                raise
-            print(f"{model} curve undefined ({exc}); written as nan", file=sys.stderr)
-            curves[model] = [math.nan] * run.n_max
+    curves = _curves(report, models)
     convergence = Table(
         name="convergence",
         columns=["M"] + (["value"] if len(models) == 1 else models),
@@ -573,6 +613,75 @@ _HANDLERS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# experiment commands: each loads its own configs and names its own output,
+# CSV at 12 digits, with the header of the script it replaces
+
+
+def _cmd_family_sweep(args: argparse.Namespace) -> tuple[list[Table], Output]:
+    if args.rescale_to is not None and not math.isfinite(args.rescale_to):
+        raise ConfigError(f"--rescale-to must be finite, got {args.rescale_to}")
+    table = Table(
+        name="family_shift_sweep",
+        columns=["config", "g_geom", "fundamental_GHz", "dispersion_MHz", "below_bandgap_MHz",
+                 "no_dispersion_MHz", "index_70pct"],
+        rows=[],
+        metadata=[("command", "family_shift_sweep"), ("N_max", str(args.n_max)),
+                  ("rescale_to_MHz", "none" if args.rescale_to is None else args.rescale_to)],
+    )
+    for path in bundled_geometry_configs():
+        run = load_run_config(path)
+        report = lamb_shift_report(run.qubit, run.material, run.geometry, args.n_max, run.solver)
+        fundamental = report.modes[0].omega_n.nu
+        if args.rescale_to is not None:
+            report = rescaled(report, args.rescale_to)
+        totals, index = report.totals, report.convergence_index_70pct
+        print(f"{path.stem}: f1 = {fundamental:.4f} GHz, disp = {totals.dispersion:.6g} MHz, "
+              f"idx70 = {index}, gap restarts = {len(report.restarted)}", file=sys.stderr)
+        table.rows.append([path.stem, f"{run.geometry.g_geom:.6e}", fundamental,
+                           totals.dispersion, totals.below_bandgap, totals.no_dispersion, index])
+    return [table], Output(args.out)
+
+
+def _cmd_mode_export(args: argparse.Namespace) -> tuple[list[Table], Output]:
+    path = Path(args.config) if args.config else bundled_geometry_configs()[0]
+    run = load_run_config(path)
+    _require(run, "mode-export", "material", "geometry", "qubit")
+    material, geometry, qubit = run.material, run.geometry, run.qubit
+    report = lamb_shift_report(qubit, material, geometry, args.n_max, run.solver)
+    bare = resonator_modes(geometry, args.n_max)  # only for the dispersionless couplings
+    lossless = replace(material, impedance_prefactor=0.0)
+    head = [("command", "mode_structure_export"), ("config", path.stem)]
+    modes = Table(
+        name="modes",
+        columns=["n", "nu_bare_GHz", "nu_disp_GHz", "kappa_GHz", "g_disp", "g_cc",
+                 "term_disp_MHz", "term_cc_MHz"],
+        rows=[],
+        metadata=head + [("N_max", str(args.n_max))],
+    )
+    rows = zip(
+        bare, report.modes, report.per_mode_terms, report.comparator_terms, report.below_gap
+    )
+    for mode_bare, mode_disp, term, cc, bare_below in rows:
+        below = not material.above_gap(mode_disp.omega_n.nu)
+        g_disp = coupling_strength(mode_disp, qubit, material, geometry) if below else math.nan
+        g_cc = coupling_strength(mode_bare, qubit, lossless, geometry) if bare_below else math.nan
+        modes.rows.append([mode_bare.n, mode_bare.omega_n.nu, mode_disp.omega_n.nu,
+                           mode_disp.omega_n.kappa, g_disp, g_cc, term.real, cc])
+    curves = _curves(report, list(_MODELS))
+    convergence = Table(
+        name="convergence",
+        columns=["M", *_MODELS],
+        rows=[[m + 1] + [curves[k][m] for k in _MODELS] for m in range(args.n_max)],
+        metadata=head + [("index_70pct", str(report.convergence_index_70pct))],
+    )
+    print(f"{path.stem}: gap restarts = {len(report.restarted)}", file=sys.stderr)
+    return [modes, convergence], Output(str(Path(args.out_dir) / f"{path.stem}.csv"), tagged=True)
+
+
+_EXPERIMENTS = {"family-sweep": _cmd_family_sweep, "mode-export": _cmd_mode_export}
+
+
 def _parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="dispersive-cqed",
@@ -617,16 +726,39 @@ def _parse_args(argv) -> argparse.Namespace:
     p.add_argument("--probes", required=True, help="comma-separated probe frequencies in GHz")
     p.add_argument("--f-max", type=float, default=None, help="grid upper edge in GHz")
 
+    p = sub.add_parser("family-sweep", help="shift totals of every bundled device-family config")
+    p.add_argument("--n-max", type=int, default=600, help="mode-count cutoff")
+    p.add_argument(
+        "--rescale-to",
+        type=float,
+        default=None,
+        metavar="MHZ",
+        help="rescale each row so its dispersionless total equals this value",
+    )
+    p.add_argument("--out", default="results/family_shift_sweep.csv")
+
+    p = sub.add_parser("mode-export", help="per-mode couplings, shift terms, convergence curves")
+    p.add_argument(
+        "--config",
+        default=None,
+        help="run config path (default: strongest-coupling bundled config)",
+    )
+    p.add_argument("--n-max", type=int, default=60, help="mode-count cutoff")
+    p.add_argument("--out-dir", default="results")
+
     return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        run = load_run_config(
-            args.config, out_override=args.out, format_override=args.format
-        )
-        tables = _HANDLERS[args.command](run, args)
+        if args.command in _EXPERIMENTS:
+            tables, output = _EXPERIMENTS[args.command](args)
+        else:
+            run = load_run_config(
+                args.config, out_override=args.out, format_override=args.format
+            )
+            tables, output = _HANDLERS[args.command](run, args), run.output
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
@@ -634,7 +766,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     try:
-        _write_tables(tables, run)
+        _write_tables(tables, output)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

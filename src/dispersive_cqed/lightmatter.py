@@ -111,16 +111,12 @@ class LambShiftReport:
     below_gap: np.ndarray
     restarted: tuple[float, ...]
 
-    def convergence_curves(self) -> dict[str, np.ndarray]:
-        """Normalized convergence curves of the three models, keyed like the totals.
+    def convergence_curve(self, model: str) -> np.ndarray:
+        """Normalized convergence curve of one model, named like the totals.
 
-        Computed on demand: raises DomainError if a model's total vanishes,
+        Computed on demand: raises DomainError if the model's total vanishes,
         as below_bandgap does when every mode lies above the gap.
         """
-        return {model: self.convergence_curve(model) for model in _MODELS}
-
-    def convergence_curve(self, model: str) -> np.ndarray:
-        """Normalized convergence curve of one model; see :meth:`convergence_curves`."""
         if model == "dispersion":
             return self.normalized_curve
         terms = self.comparator_terms

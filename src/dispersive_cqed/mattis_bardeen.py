@@ -72,10 +72,6 @@ class ComplexFreq:
         if self.kappa < 0.0:
             raise DomainError(f"kappa must be non-negative, got {self.kappa}")
 
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.nu, self.kappa)
-
 
 @dataclass(frozen=True)
 class EllipticModuli:

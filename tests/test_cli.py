@@ -231,6 +231,8 @@ class TestConfigErrors:
         ("geometry", "g_geom", True),
         # refused before, by a message that did not name output.format
         ("output", "format", 5),
+        # ignored without a trace next to ell_m/c_per_len, which fix the line alone
+        ("geometry", "z0", 75.0),
     ])
     def test_malformed_value_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                section, key, value):
@@ -241,6 +243,9 @@ class TestConfigErrors:
         cfg["output"]["path"] = "never.csv"
         if key == "limit_regime":  # given only without a preset
             cfg["material"] = {"gap_frequency": 87.0, "impedance_prefactor": CALIBRATED_A}
+        if key == "z0":  # the line given by its constants instead of f0
+            del cfg["geometry"]["f0"]
+            cfg["geometry"].update(ell_m=4.0e-7, c_per_len=1.6e-10)
         cfg[section][key] = value
         path = tmp_path / "config" / "run.yaml"
         path.parent.mkdir()
@@ -256,6 +261,7 @@ class TestConfigErrors:
         ("c_series: 1.0e-14", "c_series: 1e-14"),  # YAML 1.1 reads 1e-14 as a string
         ("N_max: 30", "N_max: 30.0"),
         ("x_q: 0.0", "x_q: 0.0\n  dipole_prefactor: null"),  # null is absent: the default
+        ("  z0: 50.0\n", ""),  # f0 without z0 takes 50 Ohm
     ])
     def test_accepted_spellings_load_the_same_config(self, tmp_path, usual, spelling):
         text = bundled_geometry_configs()[0].read_text()
@@ -712,8 +718,52 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "[]"
 
 
+SCRIPTS_DIR = Path(__file__).resolve().parents[1] / "scripts"
+EXPERIMENT_SCRIPTS = {"family-sweep": "family_shift_sweep", "mode-export": "mode_structure_export"}
+
+
+class TestExperimentErrors:
+    """family-sweep and mode-export, and the scripts that call them: an error
+    exits 2 with one line and writes nothing.  In process, so that any other
+    exception fails the test."""
+
+    @pytest.mark.parametrize("via", ["subcommand", "script"])
+    @pytest.mark.parametrize("command, config, tail, message", [
+        ("family-sweep", None, ["--n-max", "0"], "n_max must be >= 1, got 0"),
+        ("family-sweep", None, ["--rescale-to", "nan"], "--rescale-to must be finite, got nan"),
+        ("mode-export", None, ["--n-max", "0"], "n_max must be >= 1, got 0"),
+        ("mode-export", "abc", ["--n-max", "4"], "solver.N_max must be a whole number"),
+        ("mode-export", "missing", ["--n-max", "4"], "cannot read config file"),
+    ])
+    def test_error_is_one_line_exit_2_and_nothing_written(self, tmp_path, capsys, via,
+                                                          command, config, tail, message):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        if config == "abc":
+            cfg = base_config()
+            cfg["solver"]["N_max"] = "abc"
+            tail = tail + ["--config", write_config(tmp_path, cfg)]
+        elif config == "missing":
+            tail = tail + ["--config", str(tmp_path / "missing.yaml")]
+        if command == "family-sweep":
+            tail = tail + ["--out", str(out_dir / "family_shift_sweep.csv")]
+        else:
+            tail = tail + ["--out-dir", str(out_dir)]
+        if via == "subcommand":
+            rc = run_cli([command, *tail])
+        else:
+            script = SCRIPTS_DIR / f"{EXPERIMENT_SCRIPTS[command]}.py"
+            rc = runpy.run_path(str(script))["main"](tail)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("config error: ") and message in line
+        assert list(out_dir.iterdir()) == []
+
+
 class TestModeStructureExport:
-    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "mode_structure_export.py"
+    SCRIPT = SCRIPTS_DIR / "mode_structure_export.py"
 
     def test_undefined_below_bandgap_curve_is_written_as_nan(self, tmp_path, capsys):
         # The gap just under the fundamental: every mode lies above it, so the

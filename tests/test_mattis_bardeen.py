@@ -36,9 +36,6 @@ class TestComplexFreq:
         with pytest.raises(DomainError):
             ComplexFreq(math.inf)
 
-    def test_as_complex(self):
-        assert ComplexFreq(3.0, 0.25).as_complex == 3.0 + 0.25j
-
 
 class TestModuli:
     def test_real_axis_reference_point(self):
