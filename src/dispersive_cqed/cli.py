@@ -10,16 +10,17 @@ Every model subcommand reads one structured config file (YAML) with sections
     solver:    {tol, max_iter, N_max}
     output:    {format: csv|json, path, precision}
 
-Frequencies at this boundary are ordinary frequencies in GHz; reduced units
-appear only in conductivity tables (labelled nu/kappa).  Unknown keys are
-rejected, and a null counts as absent.  A number is a YAML number or a
-numeric string (YAML reads 1e-14 as a string), never a boolean; N_max,
-max_iter and precision must be whole numbers; name and path must be
-strings and qubits a list.  z0 (default 50 Ohm) goes only with f0: next to
-ell_m/c_per_len it is refused, since those fix the line alone.  A malformed
-value is a config error naming its key.  lamb-shift --model all writes a
-curve that is undefined (below_bandgap when every mode lies above the gap)
-as nan, null in JSON, with a note on stderr.
+--out and --format override output.path and output.format.  Frequencies at
+this boundary are ordinary frequencies in GHz; reduced units appear only in
+conductivity tables (labelled nu/kappa).  Unknown keys are rejected, and a
+null counts as absent.  A number is a YAML number or a numeric string (YAML
+reads 1e-14 as a string), never a boolean; N_max, max_iter and precision
+must be whole numbers; name and path must be strings and qubits a list.  z0
+(default 50 Ohm) goes only with f0: next to ell_m/c_per_len it is refused,
+since those fix the line alone.  A malformed value is a config error naming
+its key.  lamb-shift --model all writes a curve that is undefined
+(below_bandgap when every mode lies above the gap) as nan, null in JSON,
+with a note on stderr.
 
 Two experiment subcommands take flags instead of one config and always
 write CSV at 12 digits, under the header and file names of the scripts in
@@ -52,7 +53,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -211,12 +212,7 @@ class RunConfig:
     output: Output
 
 
-def load_run_config(
-    path: str | Path,
-    *,
-    out_override: str | None = None,
-    format_override: str | None = None,
-) -> RunConfig:
+def load_run_config(path: str | Path) -> RunConfig:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -250,8 +246,7 @@ def load_run_config(
         qubit=qubit,
         solver=FixedPointOptions(**solver),
         n_max=n_max,
-        output=Output(out_override or out.get("path"), format_override or out["format"],
-                      out["precision"]),
+        output=Output(out.get("path"), out["format"], out["precision"]),
     )
 
 
@@ -297,8 +292,8 @@ def _parse_range(spec: str, what: str, minimum: float | None = None) -> np.ndarr
 class Table:
     name: str
     columns: list
-    rows: list
     metadata: list  # ordered (key, value) pairs
+    rows: list = field(default_factory=list)
     status: list | None = None  # per-row status, present only after a failure
 
     def failed(self) -> bool:
@@ -421,7 +416,6 @@ def _cmd_conductivity(run: RunConfig, args: argparse.Namespace) -> list[Table]:
     table = Table(
         name="conductivity",
         columns=columns,
-        rows=[],
         metadata=[("command", "conductivity"), ("units", "reduced (nu = 2 f / f_gap)")],
     )
     for nu in nu_values:
@@ -439,13 +433,11 @@ def _cmd_conductivity(run: RunConfig, args: argparse.Namespace) -> list[Table]:
 
 
 def _cmd_impedance(run: RunConfig, args: argparse.Namespace) -> list[Table]:
-    _require(run, "impedance", "material")
     material = run.material
     freqs = _parse_range(args.freq, "freq", minimum=0.0)
     table = Table(
         name="impedance",
         columns=["freq_GHz", "nu", "R_s_ohm", "X_s_ohm"],
-        rows=[],
         metadata=[("command", "impedance")] + _material_metadata(material),
     )
     for f in freqs:
@@ -458,12 +450,10 @@ def _cmd_impedance(run: RunConfig, args: argparse.Namespace) -> list[Table]:
 
 
 def _cmd_modes(run: RunConfig, args: argparse.Namespace) -> list[Table]:
-    _require(run, "modes", "material", "geometry", "qubit")
     material, geometry, qubit = run.material, run.geometry, run.qubit
     table = Table(
         name="modes",
         columns=["n", "k_n", "nu_n_GHz", "kappa_n_GHz", "g_n_or_NA", "below_gap_flag"],
-        rows=[],
         metadata=[("command", "modes"), ("N_max", str(run.n_max))]
         + _material_metadata(material),
     )
@@ -485,7 +475,6 @@ def _cmd_modes(run: RunConfig, args: argparse.Namespace) -> list[Table]:
 
 
 def _cmd_spectral_density(run: RunConfig, args: argparse.Namespace) -> list[Table]:
-    _require(run, "spectral-density", "material", "geometry", "qubit")
     material, geometry, qubit = run.material, run.geometry, run.qubit
     freqs = _parse_range(args.freq, "freq")
     if not material.above_gap(low := freqs.min()):  # the rule is monotone in f
@@ -493,7 +482,6 @@ def _cmd_spectral_density(run: RunConfig, args: argparse.Namespace) -> list[Tabl
     table = Table(
         name="spectral_density",
         columns=["omega_GHz", "J"],
-        rows=[],
         metadata=[("command", "spectral-density"), ("N_max", str(run.n_max))]
         + _material_metadata(material),
     )
@@ -510,33 +498,32 @@ def _cmd_spectral_density(run: RunConfig, args: argparse.Namespace) -> list[Tabl
     return [table]
 
 
-def _curves(report: LambShiftReport, models: list[str]) -> dict:
-    """The normalized convergence curve of each model.
+def _curve_rows(report: LambShiftReport, models: list[str]) -> list[list]:
+    """Convergence table rows: M, then the normalized curve of each model at M.
 
     Only the requested curves: below_bandgap is undefined when every mode
     lies above the gap, and the other models must still print there.  A run
     that asks for more than one writes an undefined one as nan, with a note.
     """
-    curves = {}
+    curves = []
     for model in models:
         try:
-            curves[model] = report.convergence_curve(model)
+            curves.append(report.convergence_curve(model))
         except DomainError as exc:
             if len(models) == 1:
                 raise
             print(f"{model} curve undefined ({exc}); written as nan", file=sys.stderr)
-            curves[model] = [math.nan] * len(report.normalized_curve)
-    return curves
+            curves.append([math.nan] * len(report.normalized_curve))
+    return [[m, *values] for m, values in enumerate(zip(*curves), start=1)]
 
 
 def _cmd_lamb_shift(run: RunConfig, args: argparse.Namespace) -> list[Table]:
-    _require(run, "lamb-shift", "material", "geometry", "qubit")
     material, geometry, qubit = run.material, run.geometry, run.qubit
     meta = [("command", "lamb-shift"), ("N_max", str(run.n_max))] + _material_metadata(
         material
     )
     per_mode = Table(name="per_mode", columns=["n", "re_term_MHz", "im_term_MHz"],
-                     rows=[], metadata=meta + [("table", "per_mode")])
+                     metadata=meta + [("table", "per_mode")])
     try:
         report = lamb_shift_report(qubit, material, geometry, run.n_max, run.solver)
     except DispersiveCqedError as exc:
@@ -545,11 +532,10 @@ def _cmd_lamb_shift(run: RunConfig, args: argparse.Namespace) -> list[Table]:
         per_mode.rows.append([n, term.real, term.imag])
 
     models = list(_MODELS) if args.model == "all" else [args.model]
-    curves = _curves(report, models)
     convergence = Table(
         name="convergence",
         columns=["M"] + (["value"] if len(models) == 1 else models),
-        rows=[[m + 1] + [curves[k][m] for k in models] for m in range(run.n_max)],
+        rows=_curve_rows(report, models),
         metadata=meta + [("table", "convergence"), ("models", ",".join(models))],
     )
     totals = Table(
@@ -570,7 +556,6 @@ def _cmd_lamb_shift(run: RunConfig, args: argparse.Namespace) -> list[Table]:
 
 
 def _cmd_kk_check(run: RunConfig, args: argparse.Namespace) -> list[Table]:
-    _require(run, "kk-check", "material")
     material = run.material
     try:
         probes = [float(p) for p in args.probes.split(",") if p.strip()]
@@ -585,7 +570,6 @@ def _cmd_kk_check(run: RunConfig, args: argparse.Namespace) -> list[Table]:
     table = Table(
         name="kk_check",
         columns=["probe_freq", "lhs", "rhs", "residual"],
-        rows=[],
         metadata=[("command", "kk-check"), ("f_max_GHz", _fmt(args.f_max, 6) if args.f_max else "default")]
         + _material_metadata(material),
     )
@@ -603,13 +587,15 @@ def _cmd_kk_check(run: RunConfig, args: argparse.Namespace) -> list[Table]:
     return [table]
 
 
+# Each config command's handler and the config sections it needs.
+_MODEL_SECTIONS = ("material", "geometry", "qubit")
 _HANDLERS = {
-    "conductivity": _cmd_conductivity,
-    "impedance": _cmd_impedance,
-    "modes": _cmd_modes,
-    "spectral-density": _cmd_spectral_density,
-    "lamb-shift": _cmd_lamb_shift,
-    "kk-check": _cmd_kk_check,
+    "conductivity": (_cmd_conductivity, ()),
+    "impedance": (_cmd_impedance, ("material",)),
+    "modes": (_cmd_modes, _MODEL_SECTIONS),
+    "spectral-density": (_cmd_spectral_density, _MODEL_SECTIONS),
+    "lamb-shift": (_cmd_lamb_shift, _MODEL_SECTIONS),
+    "kk-check": (_cmd_kk_check, ("material",)),
 }
 
 
@@ -625,7 +611,6 @@ def _cmd_family_sweep(args: argparse.Namespace) -> tuple[list[Table], Output]:
         name="family_shift_sweep",
         columns=["config", "g_geom", "fundamental_GHz", "dispersion_MHz", "below_bandgap_MHz",
                  "no_dispersion_MHz", "index_70pct"],
-        rows=[],
         metadata=[("command", "family_shift_sweep"), ("N_max", str(args.n_max)),
                   ("rescale_to_MHz", "none" if args.rescale_to is None else args.rescale_to)],
     )
@@ -646,7 +631,7 @@ def _cmd_family_sweep(args: argparse.Namespace) -> tuple[list[Table], Output]:
 def _cmd_mode_export(args: argparse.Namespace) -> tuple[list[Table], Output]:
     path = Path(args.config) if args.config else bundled_geometry_configs()[0]
     run = load_run_config(path)
-    _require(run, "mode-export", "material", "geometry", "qubit")
+    _require(run, "mode-export", *_MODEL_SECTIONS)
     material, geometry, qubit = run.material, run.geometry, run.qubit
     report = lamb_shift_report(qubit, material, geometry, args.n_max, run.solver)
     bare = resonator_modes(geometry, args.n_max)  # only for the dispersionless couplings
@@ -656,7 +641,6 @@ def _cmd_mode_export(args: argparse.Namespace) -> tuple[list[Table], Output]:
         name="modes",
         columns=["n", "nu_bare_GHz", "nu_disp_GHz", "kappa_GHz", "g_disp", "g_cc",
                  "term_disp_MHz", "term_cc_MHz"],
-        rows=[],
         metadata=head + [("N_max", str(args.n_max))],
     )
     rows = zip(
@@ -668,11 +652,10 @@ def _cmd_mode_export(args: argparse.Namespace) -> tuple[list[Table], Output]:
         g_cc = coupling_strength(mode_bare, qubit, lossless, geometry) if bare_below else math.nan
         modes.rows.append([mode_bare.n, mode_bare.omega_n.nu, mode_disp.omega_n.nu,
                            mode_disp.omega_n.kappa, g_disp, g_cc, term.real, cc])
-    curves = _curves(report, list(_MODELS))
     convergence = Table(
         name="convergence",
         columns=["M", *_MODELS],
-        rows=[[m + 1] + [curves[k][m] for k in _MODELS] for m in range(args.n_max)],
+        rows=_curve_rows(report, list(_MODELS)),
         metadata=head + [("index_70pct", str(report.convergence_index_70pct))],
     )
     print(f"{path.stem}: gap restarts = {len(report.restarted)}", file=sys.stderr)
@@ -755,10 +738,12 @@ def main(argv=None) -> int:
         if args.command in _EXPERIMENTS:
             tables, output = _EXPERIMENTS[args.command](args)
         else:
-            run = load_run_config(
-                args.config, out_override=args.out, format_override=args.format
-            )
-            tables, output = _HANDLERS[args.command](run, args), run.output
+            handler, sections = _HANDLERS[args.command]
+            run = load_run_config(args.config)
+            _require(run, args.command, *sections)
+            output = replace(run.output, path=args.out or run.output.path,
+                             format=args.format or run.output.format)
+            tables = handler(run, args)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -21,6 +21,7 @@ import dispersive_cqed.lightmatter as lightmatter
 import dispersive_cqed.modes as modes_module
 from dispersive_cqed.errors import (
     AboveGapMode,
+    DispersiveCqedError,
     DomainError,
     GapStraddle,
     NoConvergence,
@@ -877,24 +878,24 @@ class TestSpectrumMemo:
 
 
 class TestMirrorSymmetry:
-    """Reflecting the line (x -> L - x for the loads and the qubit) keeps the totals."""
+    """Reflecting the line (x -> L - x for the loads and the qubit) keeps the report."""
 
     N = 20
 
-    def _totals(self, loads, x_q):
+    @staticmethod
+    def _reports(loads, x_q, n_max):
         geometry = replace(make_geometry(), qubits=tuple(loads))
+        length = geometry.length
+        mirrored = replace(geometry, qubits=tuple(
+            QubitLoad(length - q.position, q.c_series) for q in reversed(loads)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = lamb_shift_report(
-                QubitParams(5.0, x_q), aluminum(CALIBRATED_A), geometry, self.N
-            )
-        return astuple(report.totals)
+            return [lamb_shift_report(QubitParams(5.0, x), aluminum(CALIBRATED_A), line, n_max)
+                    for line, x in ((geometry, x_q), (mirrored, length - x_q))]
 
     def _assert_mirror_invariant(self, loads, x_q):
-        length = make_geometry().length
-        mirrored = [QubitLoad(length - q.position, q.c_series) for q in reversed(loads)]
-        direct, reflected = self._totals(loads, x_q), self._totals(mirrored, length - x_q)
-        for a, b in zip(direct, reflected):
+        direct, reflected = self._reports(loads, x_q, self.N)
+        for a, b in zip(astuple(direct.totals), astuple(reflected.totals)):
             assert abs(a - b) <= 1e-10 * abs(a)
 
     @settings(max_examples=8, deadline=None)
@@ -910,6 +911,33 @@ class TestMirrorSymmetry:
         loads = [QubitLoad(0.0, 1.0e-14), QubitLoad(0.37 * length, 2.0e-14),
                  QubitLoad(0.81 * length, 5.0e-15)]
         self._assert_mirror_invariant(loads, loads[1].position)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5])
+    def test_end_load_with_the_qubit_elsewhere(self, fraction):
+        # make_geometry() and the material are the gap_00p6um line, at its N_max
+        x_q = fraction * make_geometry().length
+        direct, reflected = self._reports([QubitLoad(0.0, 1.0e-14)], x_q, 30)
+        assert [m.k_n for m in reflected.modes] == [m.k_n for m in direct.modes]
+        for a, b in zip(astuple(direct.totals), astuple(reflected.totals)):
+            assert abs(a - b) <= 1e-12 * abs(a)
+        for name in ("per_mode_terms", "comparator_terms"):
+            a, b = getattr(direct, name), getattr(reflected, name)
+            assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("n_max", [30, 600])
+def test_loads_at_both_ends_give_finite_totals_or_a_typed_error(n_max):
+    line = make_geometry()
+    length, c_s = line.length, line.qubits[0].c_series
+    loads = (QubitLoad(0.0, c_s), QubitLoad(0.4 * length, 2.0 * c_s), QubitLoad(length, c_s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GapStraddle)
+        try:
+            report = lamb_shift_report(QubitParams(5.0, 0.0), aluminum(CALIBRATED_A),
+                                       replace(line, qubits=loads), n_max)
+        except DispersiveCqedError:
+            return
+    assert all(math.isfinite(total) for total in astuple(report.totals))
 
 
 _HIT_DEVICES = ("niobium", "gap_00p6um", "three_load")  # cases of tests/golden/reports.json

@@ -8,6 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
+import dispersive_cqed.elliptic as elliptic
+import dispersive_cqed.mattis_bardeen as mattis_bardeen
+from dispersive_cqed.elliptic import (
+    complete_k_agm,
+    ellip_complete_k,
+    ellip_incomplete_e,
+    ellip_incomplete_f,
+)
 from dispersive_cqed.errors import DomainError, GapSingularity
 from dispersive_cqed.impedance import aluminum, surface_impedance
 from dispersive_cqed.mattis_bardeen import (
@@ -283,3 +291,40 @@ class TestClosedForm:
         t = sigma_tilde(ComplexFreq(nu, kap))
         o = sigma_oracle(ComplexFreq(nu, kap))
         assert abs(t - o) / abs(o) <= 1e-6
+
+
+class _ClosedFormReached(Exception):
+    pass
+
+
+class TestOracleIndependence:
+    """Every oracle answers, to the bit, with the closed-form path made to raise."""
+
+    CLOSED_FORMS = ("sigma_tilde", "sigma_real_axis", "_complete_pair", "_complete_ke",
+                    "_incomplete")
+
+    @staticmethod
+    def _oracle_values():
+        freq = ComplexFreq(3.0, 0.2)
+        z, k = 0.5 + 0.3j, 0.4 + 0.1j
+        return [
+            sigma_oracle(freq),
+            sigma_oracle(freq, include_tail=True),
+            _sigma2_continued(1.2 - 0.1j),
+            complete_k_agm(0.6 + 0.2j),
+            ellip_incomplete_f(z, k, method="quadrature"),
+            ellip_incomplete_e(z, k, method="quadrature"),
+        ]
+
+    def test_oracles_never_reach_the_closed_form(self, monkeypatch):
+        def closed_form(*args, **kwargs):
+            raise _ClosedFormReached
+
+        with monkeypatch.context() as patch:
+            patch.setattr(elliptic, "_carlson", closed_form)
+            for name in self.CLOSED_FORMS:
+                patch.setattr(mattis_bardeen, name, closed_form)
+            with pytest.raises(_ClosedFormReached):  # the patch does reach the closed form
+                ellip_complete_k(0.6 + 0.2j)
+            fenced = self._oracle_values()
+        assert fenced == self._oracle_values()

@@ -656,6 +656,19 @@ class TestCompleteness:
         modes = resonator_modes(geo, 200)
         assert completeness_residual(geo, modes, lambda x: 1.0) <= 1e-3
 
+    def test_load_point_sum_rule(self):
+        # sum_{n>=0} Psi_n(0)^2, the k = 0 mode included, tends to 1/(ell_m C_s) like 1/N
+        geo = make_geometry()
+
+        def defect(n_max):
+            psi = [mode_function(mode, geo, 0.0) for mode in resonator_modes(geo, n_max)]
+            total = zero_mode_amplitude(geo) ** 2 + math.fsum(p * p for p in psi)
+            return total * geo.ell_m * geo.qubits[0].c_series - 1.0
+
+        d600, d2500 = defect(600), defect(2500)
+        assert abs(d2500) < 0.015
+        assert 2500 * d2500 == pytest.approx(600 * d600, rel=0.01)
+
 
 @pytest.fixture(scope="module")
 def setup():
