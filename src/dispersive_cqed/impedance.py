@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,37 +48,6 @@ class LimitRegime(enum.Enum):
         return 3 if self is LimitRegime.EXTREME_ANOMALOUS else 2
 
 
-def _hash_once(cls):
-    """Make a frozen dataclass hash its fields once per object.
-
-    Applied above ``@dataclass(frozen=True)`` to the configs that key the
-    spectrum memo, so a memo hit does not hash every field again.  The value
-    is kept in the instance ``__dict__`` under ``_hash``, which is not a
-    field: ``fields``, ``repr``, ``==`` and ``asdict`` do not see it.  It is
-    left out of the pickled state, because str hashes are salted per process
-    and a hash carried into another process would break dict lookups there.
-    """
-    names = tuple(f.name for f in fields(cls))
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash(tuple(getattr(self, name) for name in names))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
-
-
-@_hash_once
 @dataclass(frozen=True)
 class Material:
     """Superconductor description.

@@ -172,7 +172,7 @@ def coupling_strength(
     eps = epsilon(material, geometry.g_geom, geometry.ell_m, nu_ghz)
     psi = _dimensionless_amplitude(mode, geometry, qubit.x_q)
     value = qubit.dipole_prefactor * math.sqrt(nu_ghz) * np.sqrt(complex(eps)) * psi
-    return value.real if value.imag == 0.0 else complex(value)
+    return value.real
 
 
 def spectral_density(

@@ -48,7 +48,7 @@ from .errors import (
     NoConvergence,
     PoleProximity,
 )
-from .impedance import _TWO_PI_GHZ, Material, _hash_once, surface_impedance
+from .impedance import _TWO_PI_GHZ, Material, surface_impedance
 from .mattis_bardeen import ComplexFreq
 
 
@@ -60,7 +60,6 @@ class QubitLoad:
     c_series: float
 
 
-@_hash_once
 @dataclass(frozen=True)
 class ResonatorGeometry:
     length: float  # L, meters
@@ -308,7 +307,6 @@ def mode_function(mode: Mode, geometry: ResonatorGeometry, x) -> np.ndarray | fl
     return out.reshape(x_arr.shape) if x_arr.ndim else float(out[0])
 
 
-@_hash_once
 @dataclass(frozen=True)
 class FixedPointOptions:
     """Settings of :func:`fixed_point_eigenfrequency`, checked on construction.
@@ -413,8 +411,6 @@ def fixed_point_eigenfrequency(
                 kap_ghz = 0.0
             return ComplexFreq(nu_ghz, kap_ghz)
         target = np.sqrt(complex(rhs))
-        if target.real < 0.0:
-            target = -target
         omega_new = 0.5 * omega + 0.5 * target
         if material.above_gap(omega_new / _TWO_PI_GHZ) != side0:
             if restarted:

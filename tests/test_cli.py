@@ -262,6 +262,9 @@ class TestConfigErrors:
         ("N_max: 30", "N_max: 30.0"),
         ("x_q: 0.0", "x_q: 0.0\n  dipole_prefactor: null"),  # null is absent: the default
         ("  z0: 50.0\n", ""),  # f0 without z0 takes 50 Ohm
+        # the line constants that derive_line_constants(6.0, 50.0, 0.01) gives
+        ("  f0: 6.0\n  z0: 50.0\n",
+         "  ell_m: 4.1666666666666667e-07\n  c_per_len: 1.6666666666666666e-10\n"),
     ])
     def test_accepted_spellings_load_the_same_config(self, tmp_path, usual, spelling):
         text = bundled_geometry_configs()[0].read_text()
@@ -564,6 +567,42 @@ def solver_failure_config(side):
         "impedance_prefactor": 10.0 * CALIBRATED_A,
     }
     return cfg
+
+
+class TestNumericalFailure:
+    """A numerical failure exits 3: a table command writes the rows it has and
+    a status row, and mode-export writes nothing."""
+
+    @pytest.mark.parametrize("tail, status", [
+        (["modes"], "NoConvergence"),
+        (["spectral-density", "--freq", "90:100:3"], "NoConvergence"),
+        (["conductivity", "--nu", "2.0000005", "--kappa", "1e-7"], "GapSingularity"),
+    ])
+    def test_table_ends_in_a_status_row(self, tmp_path, capsys, tail, status):
+        cfg = base_config()
+        cfg["solver"]["max_iter"] = 1
+        out = tmp_path / "table.csv"
+        rc = run_cli([tail[0], "--config", write_config(tmp_path, cfg), "--out", str(out),
+                      *tail[1:]])
+        assert rc == 3
+        assert capsys.readouterr().err == "numerical failure: see status column\n"
+        _, columns, rows = parse_csv(out.read_text())
+        assert columns[-1] == "status"
+        assert rows[-1][-1] == status
+
+    def test_mode_export_writes_nothing(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["solver"]["max_iter"] = 1
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        rc = run_cli(["mode-export", "--config", write_config(tmp_path, cfg),
+                      "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("numerical failure: ")
+        assert list(out_dir.iterdir()) == []
 
 
 class TestOutputPath:

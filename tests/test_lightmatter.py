@@ -925,19 +925,21 @@ class TestMirrorSymmetry:
             assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))
 
 
-@pytest.mark.parametrize("n_max", [30, 600])
+@pytest.mark.parametrize("n_max", [30, 600, 2500])
 def test_loads_at_both_ends_give_finite_totals_or_a_typed_error(n_max):
+    # The qubit at the first load, then at the second one (a memo hit).
     line = make_geometry()
     length, c_s = line.length, line.qubits[0].c_series
     loads = (QubitLoad(0.0, c_s), QubitLoad(0.4 * length, 2.0 * c_s), QubitLoad(length, c_s))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GapStraddle)
-        try:
-            report = lamb_shift_report(QubitParams(5.0, 0.0), aluminum(CALIBRATED_A),
-                                       replace(line, qubits=loads), n_max)
-        except DispersiveCqedError:
-            return
-    assert all(math.isfinite(total) for total in astuple(report.totals))
+    for x_q in (0.0, 0.4 * length):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GapStraddle)
+            try:
+                report = lamb_shift_report(QubitParams(5.0, x_q), aluminum(CALIBRATED_A),
+                                           replace(line, qubits=loads), n_max)
+            except DispersiveCqedError:
+                return
+        assert all(math.isfinite(total) for total in astuple(report.totals))
 
 
 _HIT_DEVICES = ("niobium", "gap_00p6um", "three_load")  # cases of tests/golden/reports.json
@@ -1077,8 +1079,9 @@ class TestResonanceBisection:
 
 
 class TestMemoKeyHash:
-    """The memo key's configs hash their fields once; the cached value is not a
-    field and never leaves the process."""
+    """The memo key's configs hash as plain frozen dataclasses: equal configs
+    hash equal, a copy hashes its new fields, and a pickled key still finds
+    its entry in another process."""
 
     @staticmethod
     def _configs():

@@ -21,7 +21,7 @@ from dispersive_cqed.errors import (
     NoConvergence,
     PoleProximity,
 )
-from dispersive_cqed.impedance import aluminum, surface_impedance
+from dispersive_cqed.impedance import aluminum, epsilon, surface_impedance
 from dispersive_cqed.mattis_bardeen import ComplexFreq
 from dispersive_cqed.modes import (
     FixedPointOptions,
@@ -633,6 +633,28 @@ class TestGreensFunction:
             got = greens_function(j * h, x_src, 20.0, modes, lossless, geo)
             ref = g_fd[j] - zero_term
             assert abs(got - ref) / abs(ref) <= 1e-3
+
+    def test_mode_sum_meets_the_closed_form_like_n_cubed(self):
+        # The gap_00p6um line (one load C_s at x = 0, open ends) has
+        # G(0, 0) = cos kL / (k sin kL + k^2 (C_s/c) cos kL), k^2 = omega^2 eps ell_m c.
+        # The mode sum plus the k = 0 term Psi_0^2 / (omega^2 eps) meets it like
+        # N^-3, below the gap (20, 50 GHz) and above it (120, 300 GHz).
+        path = bundled_geometry_configs()[0]
+        assert path.name == "gap_00p6um.yaml"
+        run = load_run_config(path)
+        geo, material = run.geometry, run.material
+        ratio = geo.qubits[0].c_series / geo.c_per_len
+        modes = {n: resonator_modes(geo, n) for n in (600, 2500)}
+        for f in (20.0, 50.0, 120.0, 300.0):
+            w2eps = (2 * math.pi * 1e9 * f) ** 2 * epsilon(material, geo.g_geom, geo.ell_m, f)
+            k = np.sqrt(w2eps * geo.ell_m * geo.c_per_len)
+            cos, sin = np.cos(k * geo.length), np.sin(k * geo.length)
+            closed = cos / (k * sin + k * k * ratio * cos)
+            zero_term = zero_mode_amplitude(geo) ** 2 / w2eps
+            err = {n: abs(greens_function(0.0, 0.0, f, ms, material, geo) + zero_term - closed)
+                   / abs(closed) for n, ms in modes.items()}
+            assert err[2500] <= 2e-5
+            assert err[600] / err[2500] == pytest.approx((2500 / 600) ** 3, rel=0.1)
 
 
 class TestCompleteness:
