@@ -440,9 +440,9 @@ def _cmd_impedance(run: RunConfig, args: argparse.Namespace) -> list[Table]:
         columns=["freq_GHz", "nu", "R_s_ohm", "X_s_ohm"],
         metadata=[("command", "impedance")] + _material_metadata(material),
     )
-    for f in freqs:
+    for f in freqs.tolist():  # Python floats: 2 f overflows to inf without a numpy warning
         try:
-            z = surface_impedance(material, float(f))
+            z = surface_impedance(material, f)
         except DispersiveCqedError as exc:
             return _fail(table, [f, material.reduced(f), math.nan, math.nan], exc)
         table.rows.append([f, material.reduced(f), z.real, z.imag])
@@ -463,11 +463,7 @@ def _cmd_modes(run: RunConfig, args: argparse.Namespace) -> list[Table]:
         return _fail(table, [0, math.nan, math.nan, math.nan, "NA", 0], exc)
     for mode in modes:
         below = not material.above_gap(mode.omega_n.nu)
-        if below:
-            g_n = coupling_strength(mode, qubit, material, geometry)
-            g_cell: float | str = float(np.real(g_n))
-        else:
-            g_cell = "NA"
+        g_cell = coupling_strength(mode, qubit, material, geometry) if below else "NA"
         table.rows.append(
             [mode.n, mode.k_n, mode.omega_n.nu, mode.omega_n.kappa, g_cell, int(below)]
         )

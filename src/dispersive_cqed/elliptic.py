@@ -581,11 +581,13 @@ def _incomplete_quadrature(
             s = np.sin(theta)
             return integrand(z * s) * z * np.cos(theta)
 
-        seg = ContourSegment(0.0, math.pi / 2.0, tol=tol)
-        val, _ = contour_quadrature(g, seg)
-        return val
-    seg = ContourSegment(0.0, z, tol=tol)
-    val, _ = contour_quadrature(integrand, seg)
+        path, seg = g, ContourSegment(0.0, math.pi / 2.0, tol=tol)
+    else:
+        path, seg = integrand, ContourSegment(0.0, z, tol=tol)
+    # A node on a branch point evaluates to inf or nan, which _gk15_panel
+    # raises as SingularInterior; numpy need not warn about it first.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val, _ = contour_quadrature(path, seg)
     return val
 
 

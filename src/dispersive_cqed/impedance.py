@@ -79,7 +79,7 @@ class Material:
 
     def above_gap(self, frequency_ghz: complex) -> bool:
         """Whether f (GHz) lies above the gap: 2 Re f / f_gap > 2, so the edge is below."""
-        return 2.0 * float(frequency_ghz.real) / self.gap_frequency > 2.0
+        return self.reduced(float(frequency_ghz.real)) > 2.0
 
 
 # Literature-default gap frequencies (2*Delta/h).  These are *defaults*: any
@@ -123,8 +123,8 @@ def _split_frequency(material: Material, frequency_ghz: complex) -> ComplexFreq:
     a tiny negative imaginary part (roundoff from upstream solvers) is snapped
     to zero rather than rejected.
     """
-    nu = 2.0 * float(frequency_ghz.real) / material.gap_frequency
-    kap = 2.0 * float(frequency_ghz.imag) / material.gap_frequency
+    nu = material.reduced(float(frequency_ghz.real))
+    kap = material.reduced(float(frequency_ghz.imag))
     if abs(kap) <= _IMAG_TOL * max(1.0, abs(nu)):
         kap = 0.0
     if kap < 0.0:
@@ -140,11 +140,15 @@ def _split_frequency(material: Material, frequency_ghz: complex) -> ComplexFreq:
 def surface_impedance(material: Material, frequency_ghz: complex) -> complex:
     """Z_s at a real or complex frequency (GHz), in Ohms.
 
-    Below the gap the result is purely imaginary (Re Z_s = 0 exactly in
-    floating point): the below-gap branch is evaluated in real arithmetic.
-    Above the gap, complex frequencies in the decaying half plane are allowed
-    and both the conductivity and the frequency prefactor are continued.
+    A lossless film (``impedance_prefactor == 0``) gives 0j at any frequency,
+    unchecked; no caller decides that for itself.  Below the gap the result
+    is purely imaginary (Re Z_s = 0 exactly in floating point): the below-gap
+    branch is evaluated in real arithmetic.  Above the gap, complex
+    frequencies in the decaying half plane are allowed and both the
+    conductivity and the frequency prefactor are continued.
     """
+    if material.impedance_prefactor == 0.0:
+        return 0j
     freq = _split_frequency(material, frequency_ghz)
     a_ohm = material.impedance_prefactor
     q = material.limit_regime.power
@@ -176,10 +180,9 @@ def epsilon(
     frequency_ghz.  Below the gap the result is exactly real (epsilon > 1, a
     kinetic-inductance slow-down); above the gap Im epsilon < 0 encodes loss.
     """
-    if g_geom < 0.0 or ell_m <= 0.0:
-        raise DomainError(f"need g_geom >= 0 and ell_m > 0, got {g_geom}, {ell_m}")
-    if material.impedance_prefactor == 0.0:
-        return 1.0 + 0.0j
+    if g_geom < 0.0 or ell_m <= 0.0 or frequency_ghz == 0.0:  # epsilon divides by omega
+        raise DomainError(f"need g_geom >= 0, ell_m > 0 and f != 0, "
+                          f"got {g_geom}, {ell_m}, {frequency_ghz}")
     return _epsilon(material, g_geom, ell_m, frequency_ghz,
                     surface_impedance(material, frequency_ghz))
 
@@ -266,7 +269,7 @@ def kk_parts(
 
     r_grid = _real_part_on_grid(material, nu_grid)
 
-    above_gap_probe = nu_probe > 2.0
+    above_gap_probe = material.above_gap(probe_frequency_ghz)
     if above_gap_probe:
         if probe_frequency_ghz > grid[-1] - 2.0 * h:
             raise GridTooCoarse(

@@ -42,13 +42,11 @@ from .modes import (
     FixedPointOptions,
     Mode,
     ResonatorGeometry,
-    _bare_stack,
     _eval_segments,
     _greens,
-    _mode_matrix,
-    _modes,
+    _stack,
     _warn_gap_straddles,
-    fixed_point_eigenfrequency,
+    dispersive_modes,
     mode_function,
 )
 
@@ -160,7 +158,7 @@ def coupling_strength(
     Only defined for modes below the pair-breaking gap, where the mode is a
     true discrete excitation; above the gap the mode is a resonance inside a
     continuum and callers must use :func:`spectral_density` instead.
-    Returns a real number below the gap (eps is real there).
+    Returns a float: below the gap eps is exactly real and above 1.
     """
     _check_position(qubit, geometry)
     nu_ghz = mode.omega_n.nu
@@ -171,8 +169,7 @@ def coupling_strength(
         )
     eps = epsilon(material, geometry.g_geom, geometry.ell_m, nu_ghz)
     psi = _dimensionless_amplitude(mode, geometry, qubit.x_q)
-    value = qubit.dipole_prefactor * math.sqrt(nu_ghz) * np.sqrt(complex(eps)) * psi
-    return value.real
+    return qubit.dipole_prefactor * math.sqrt(nu_ghz) * math.sqrt(eps.real) * psi
 
 
 def spectral_density(
@@ -197,7 +194,7 @@ def spectral_density(
             f"spectral density is defined above the gap ({material.gap_frequency} GHz); "
             f"got {omega_ghz} GHz"
         )
-    z_s = 0.0j if material.impedance_prefactor == 0.0 else surface_impedance(material, omega_ghz)
+    z_s = surface_impedance(material, omega_ghz)
     eps = _epsilon(material, geometry.g_geom, geometry.ell_m, omega_ghz, z_s)
     green = _greens(qubit.x_q, qubit.x_q, omega_ghz, modes, geometry, z_s)
     # Dimensionless mode amplitudes and an omega^2 in (rad/s)^2 cancel the
@@ -223,8 +220,7 @@ def lamb_shift_term_branches(
     _check_position(qubit, geometry)
     _check_resonance(qubit.omega_q, _frequencies([mode]))
     poles = [_pole_constants(mode, material, geometry)]
-    at_qubit = _mode_matrix([mode], geometry, np.array([qubit.x_q]))[:, 0]
-    psi = (at_qubit * _amplitude_scale(geometry)).tolist()
+    psi = [_dimensionless_amplitude(mode, geometry, qubit.x_q)]
     ((n_plus, n_minus),) = _numerators(poles, psi, qubit.dipole_prefactor)
     ((p, _, pc, _),) = poles
     w = qubit.omega_q
@@ -343,8 +339,8 @@ def _normalized(partial: np.ndarray) -> np.ndarray:
 class _ModalSpectrum:
     """The qubit-independent half of a report, fixed by the device alone.
 
-    ``stack`` holds the bare modes once, as the arrays (k, norm, amplitudes)
-    of ``modes._bare_stack`` that ``modes._eval_segments`` takes.
+    ``stack`` holds the modes' arrays (k, norm, amplitudes) once, built by
+    ``modes._stack`` from ``dispersive`` as ``modes._eval_segments`` takes them.
     ``dispersive`` are the modes carrying their dispersion fixed points,
     ``poles`` the :func:`_pole_constants` of each, ``nu`` and ``nu_bare`` the
     dispersive and bare frequencies, and ``below_gap`` flags the bare
@@ -376,9 +372,8 @@ class _ModalSpectrum:
 def _solve_spectrum(
     material: Material, geometry: ResonatorGeometry, n_max: int, options: FixedPointOptions
 ) -> _ModalSpectrum:
-    stack = _bare_stack(geometry, n_max)
-    dispersive = tuple(_modes(stack, [fixed_point_eigenfrequency(k, material, geometry, options)
-                                      for k in stack[0]]))
+    dispersive = tuple(dispersive_modes(geometry, material, n_max, options))
+    stack = _stack(dispersive)
     poles = tuple(_pole_constants(m, material, geometry) for m in dispersive)
     nu, nu_bare = _frequencies(dispersive), geometry.bare_frequency_ghz(stack[0])
     nus, bares = nu.tolist(), nu_bare.tolist()

@@ -303,7 +303,7 @@ def resonator_modes(geometry: ResonatorGeometry, n_max: int) -> list[Mode]:
 def mode_function(mode: Mode, geometry: ResonatorGeometry, x) -> np.ndarray | float:
     """Normalized mode amplitude Psi_n(x); scalar or ndarray ``x`` in [0, L]."""
     x_arr = np.asarray(x, dtype=float)
-    out = _mode_matrix([mode], geometry, x_arr.ravel())[0]
+    out = _eval_segments(x_arr.ravel(), *_stack([mode]), geometry)[0]
     return out.reshape(x_arr.shape) if x_arr.ndim else float(out[0])
 
 
@@ -392,8 +392,7 @@ def fixed_point_eigenfrequency(
     side0 = material.above_gap(omega / _TWO_PI_GHZ)  # the value the impedance is handed
     for step in range(options.max_iter):
         try:
-            z_s = (0.0j if material.impedance_prefactor == 0.0
-                   else surface_impedance(material, omega / _TWO_PI_GHZ))
+            z_s = surface_impedance(material, omega / _TWO_PI_GHZ)
             rhs = _omega_n_sq(k_n, omega, z_s, geometry)
         except DomainError as exc:
             if step == 0:  # the starting point, not an iterate of the solver
@@ -445,11 +444,6 @@ def dispersive_modes(
                           for k in stack[0]])
 
 
-def _mode_matrix(modes, geometry: ResonatorGeometry, x: np.ndarray) -> np.ndarray:
-    """Psi_n(x) at the points ``x`` (1-d) as shape (n_modes, x.size)."""
-    return _eval_segments(x, *_stack(modes), geometry)
-
-
 def greens_function(
     x,
     x_prime,
@@ -470,9 +464,7 @@ def greens_function(
     gives the response function its conjugation symmetry
     G(x, x'; -conj(omega)) = conj(G(x, x'; omega)).
     """
-    if material.impedance_prefactor == 0.0:
-        z_s = 0.0j
-    elif complex(omega_ghz).real < 0.0:
+    if complex(omega_ghz).real < 0.0:
         z_s = np.conj(surface_impedance(material, -complex(omega_ghz).conjugate()))
     else:
         z_s = surface_impedance(material, complex(omega_ghz))
@@ -482,13 +474,13 @@ def greens_function(
 def _greens(x, x_prime, omega_ghz: complex, modes, geometry: ResonatorGeometry, z_s) -> complex:
     """:func:`greens_function` from the Z_s (Ohms) at the probe that the caller holds."""
     omega = complex(omega_ghz) * _TWO_PI_GHZ
-    ks = np.array([m.k_n for m in modes])
-    omega_n_sq = _omega_n_sq(ks, omega, z_s, geometry)
+    stack = _stack(modes)
+    omega_n_sq = _omega_n_sq(stack[0], omega, z_s, geometry)
     roots = np.sqrt(omega_n_sq.astype(complex))
     if np.any(np.abs(omega - roots) <= 1e-9 * np.abs(roots)):
         raise PoleProximity(f"probe frequency {omega_ghz} GHz within 1e-9 of a pole")
     den = omega * omega - omega_n_sq
-    psi = _mode_matrix(modes, geometry, np.array([x, x_prime], dtype=float))
+    psi = _eval_segments(np.array([x, x_prime], dtype=float), *stack, geometry)
     return complex(np.sum(psi[:, 0] * psi[:, 1] / den))
 
 
@@ -543,8 +535,9 @@ def completeness_residual(geometry: ResonatorGeometry, modes, test_function) -> 
     x_loads = np.array([q.position for q in geometry.qubits])
     f = np.asarray([test_function(xi) for xi in x], dtype=float)
     f_loads = np.asarray([test_function(xi) for xi in x_loads], dtype=float)
-    psi = _mode_matrix(modes, geometry, x)
-    psi_loads = _mode_matrix(modes, geometry, x_loads)
+    stack = _stack(modes)
+    psi = _eval_segments(x, *stack, geometry)
+    psi_loads = _eval_segments(x_loads, *stack, geometry)
     psi0 = zero_mode_amplitude(geometry)
     coeffs = np.array(
         [
@@ -596,14 +589,14 @@ def greens_identity_residual(
 
     n_grid = max(4097, 12 * len(modes) + 1)
     xg = np.linspace(0.0, geometry.length, n_grid)
-    ks = np.array([m.k_n for m in modes])
-    den = omega * omega - _omega_n_sq(ks, omega, z_s, geometry)
-    psi = _mode_matrix(modes, geometry, xg)
-    psi1 = _mode_matrix(modes, geometry, np.array([x1]))[:, 0]
-    psix = _mode_matrix(modes, geometry, np.array([x]))[:, 0]
+    stack = _stack(modes)
+    den = omega * omega - _omega_n_sq(stack[0], omega, z_s, geometry)
+    psi = _eval_segments(xg, *stack, geometry)
+    psi1 = _eval_segments(np.array([x1]), *stack, geometry)[:, 0]
+    psix = _eval_segments(np.array([x]), *stack, geometry)[:, 0]
     g1 = (psi1 / den) @ psi  # G(x1, x') on the grid
     gx = (psix / den) @ psi
-    psi_l = _mode_matrix(modes, geometry, np.array([q.position for q in geometry.qubits]))
+    psi_l = _eval_segments(np.array([q.position for q in geometry.qubits]), *stack, geometry)
     g1_l = (psi1 / den) @ psi_l
     gx_l = (psix / den) @ psi_l
     bulk = _simpson(np.conj(g1) * gx, xg) * geometry.c_per_len

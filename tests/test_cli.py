@@ -76,6 +76,7 @@ class TestConfigErrors:
         if message:
             assert message in err
         assert not out.exists()
+        return err
 
     def test_unknown_keys_rejected_everywhere(self, tmp_path, capsys):
         cfg = base_config()
@@ -166,6 +167,11 @@ class TestConfigErrors:
             tmp_path, capsys, cfg, ["spectral-density", "--freq", "50"], "exceed"
         )
         self.check(tmp_path, capsys, cfg, ["kk-check", "--probes", ","], "empty")
+        self.check(tmp_path, capsys, cfg, ["impedance", "--freq", "1:2"],
+                   "config error: freq must be VALUE or START:STOP:COUNT, got '1:2'")
+        err = self.check(tmp_path, capsys, cfg, ["kk-check", "--probes", "4.0,abc"],
+                         "cannot parse --probes")
+        assert len(err.splitlines()) == 1
 
 
     @pytest.mark.parametrize("tail", [
@@ -589,6 +595,19 @@ class TestNumericalFailure:
         _, columns, rows = parse_csv(out.read_text())
         assert columns[-1] == "status"
         assert rows[-1][-1] == status
+
+    def test_overflowing_reduced_frequency_is_one_stderr_line(self, tmp_path, capsys):
+        # nu = 2 f / f_gap overflows to inf: a DomainError row, and no numpy
+        # overflow warning next to the one stderr line.
+        out = tmp_path / "z.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["impedance", "--config", write_config(tmp_path, base_config()),
+                       "--freq", "1e308", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == "numerical failure: see status column\n"
+        _, _, rows = parse_csv(out.read_text())
+        assert rows == [["1.000000000000e+308", "inf", "nan", "nan", "DomainError"]]
 
     def test_mode_export_writes_nothing(self, tmp_path, capsys):
         cfg = base_config()

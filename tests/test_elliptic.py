@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,14 @@ class TestContourQuadrature:
     def test_tolerance_domain(self):
         with pytest.raises(DomainError):
             ContourSegment(0.0, 1.0, tol=0.5)
+
+    def test_panel_budget_domain(self):
+        with pytest.raises(DomainError):
+            ContourSegment(0, 1, max_panels=0)
+
+    def test_integrand_of_the_wrong_shape_rejected(self):
+        with pytest.raises(TypeError):
+            contour_quadrature(lambda z: np.sum(z), ContourSegment(0.0, 1.0))
 
 
 class TestCarlson:
@@ -235,6 +244,7 @@ class TestSharedPairs:
     # k^2 in [1, inf) that the public K rejects.
     MODULI = [0.0, 0.0j, 1e-8, 0.5, -0.7, 0.99999, 0.3 + 0.1j, 0.85 - 0.1j,
               2j, 1.0, -1.0, 1.5, -2.0]
+    AMPLITUDES = [0.0, 0.3 - 0.4j, 0.6 + 0.2j, 0.5j, 0.9, 1.0, -0.4 + 0.7j]
 
     def test_complete_pair_equals_public(self):
         for k in self.MODULI:
@@ -252,9 +262,8 @@ class TestSharedPairs:
         # Includes a path whose first-kind value needs the full-quadrature
         # fallback (k = 0 with Im z^2 < 0), a terminal branch point, paths
         # through a branch point and moduli on the complete integrals' cut.
-        amplitudes = [0.0, 0.3 - 0.4j, 0.6 + 0.2j, 0.5j, 0.9, 1.0, -0.4 + 0.7j]
         for k in self.MODULI:
-            for z in amplitudes:
+            for z in self.AMPLITUDES:
                 try:
                     want = (ellip_incomplete_f(z, k), ellip_incomplete_e(z, k))
                 except DispersiveCqedError as exc:
@@ -264,6 +273,27 @@ class TestSharedPairs:
                 assert _incomplete(z, k, "auto", True, True) == want
                 assert _incomplete(z, k, "auto", True, False) == (want[0], None)
                 assert _incomplete(z, k, "auto", False, True) == (None, want[1])
+
+    def test_quadrature_fallback_warns_nothing(self):
+        # A quadrature node on a branch point is a typed error, with no numpy
+        # RuntimeWarning before it: promoting those to errors changes nothing.
+        def outcomes():
+            out = []
+            for k in self.MODULI:
+                for z in self.AMPLITUDES:
+                    for integral in (ellip_incomplete_f, ellip_incomplete_e):
+                        try:
+                            out.append(integral(z, k))
+                        except DispersiveCqedError as exc:
+                            out.append(type(exc))
+            return out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            quiet = outcomes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert outcomes() == quiet
 
     @given(st.tuples(*[st.builds(complex, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))] * 3))
     @settings(max_examples=200, deadline=None)

@@ -116,6 +116,13 @@ class TestSurfaceImpedance:
         with pytest.raises(DomainError):
             surface_impedance(al, -5.0)
 
+    @pytest.mark.parametrize("f_ghz", [5.0, 174.0, -5.0, 174.0 + 1.0j, 40.0 + 1.0j])
+    def test_lossless_film_is_zero_before_any_frequency_check(self, f_ghz):
+        # The ideal film is defined here alone: even a frequency the lossy
+        # branches refuse (negative, complex below the gap) gives exactly 0j.
+        z = surface_impedance(aluminum(0.0), f_ghz)
+        assert type(z) is complex and z == 0j
+
     def test_high_frequency_power_law(self):
         # sigma -> sigma_n, so |Z_s| approaches A nu^(1 - 1/q).
         for mat, expo in ((aluminum(1.0), 2.0 / 3.0), (niobium(1.0), 0.5)):
@@ -128,8 +135,9 @@ class TestSurfaceImpedance:
 
 class TestEpsilon:
     def test_zero_impedance_is_unity(self):
-        eps = epsilon(aluminum(0.0), 3.0e6, ELL_M, 6.0)
-        assert eps == 1.0 + 0.0j
+        for f_ghz in (5.0, 6.0, 174.0):  # below and above the gap
+            eps = epsilon(aluminum(0.0), 3.0e6, ELL_M, f_ghz)
+            assert eps == 1.0 + 0.0j
 
     @pytest.mark.parametrize("prefactor, f_ghz", [(0.0, 6.0), (CALIBRATED_A, 5.88),
                                                   (CALIBRATED_A, 174.0)])
@@ -160,6 +168,9 @@ class TestEpsilon:
             epsilon(aluminum(1.0), -1.0, ELL_M, 6.0)
         with pytest.raises(DomainError):
             epsilon(aluminum(1.0), 3.0e6, 0.0, 6.0)
+        for prefactor in (0.0, 1.0):  # epsilon divides by omega, lossless or not
+            with pytest.raises(DomainError):
+                epsilon(aluminum(prefactor), 3.0e6, ELL_M, 0.0)
 
 
 class TestKramersKronig:

@@ -29,7 +29,13 @@ from dispersive_cqed.errors import (
     QubitOnResonance,
 )
 from dispersive_cqed.cli import bundled_geometry_configs, load_run_config
-from dispersive_cqed.impedance import aluminum, calibrate_prefactor, niobium, surface_impedance
+from dispersive_cqed.impedance import (
+    aluminum,
+    calibrate_prefactor,
+    epsilon,
+    niobium,
+    surface_impedance,
+)
 from dispersive_cqed.lightmatter import (
     QubitParams,
     cc_comparator_term,
@@ -108,6 +114,18 @@ class TestCouplingStrength:
         at_edge = aluminum(CALIBRATED_A, gap_frequency=m15.omega_n.nu)
         assert surface_impedance(at_edge, m15.omega_n.nu).real == 0.0
         assert isinstance(coupling_strength(m15, qb, at_edge, geo), float)
+
+    def test_real_root_is_the_complex_root_to_the_bit(self):
+        # Below the gap eps is exactly real and above 1, so sqrt(Re eps) is
+        # the real part of its complex root.
+        geo = make_geometry()
+        qb = QubitParams(5.0, 0.0, dipole_prefactor=1.3)
+        al = aluminum(CALIBRATED_A)
+        for m in dispersive_modes(geo, al, 14):
+            eps = epsilon(al, geo.g_geom, geo.ell_m, m.omega_n.nu)
+            psi = mode_function(m, geo, 0.0) * _amp_scale(geo)
+            root = 1.3 * math.sqrt(m.omega_n.nu) * np.sqrt(complex(eps)) * psi
+            assert coupling_strength(m, qb, al, geo) == root.real
 
     def test_dispersive_support_red_shifted(self):
         # With the kinetic-inductance medium every below-gap mode sits at a
@@ -398,6 +416,12 @@ class TestReport:
         )
         np.testing.assert_array_equal(out.normalized_curve, rep.normalized_curve)
         assert out.convergence_index_70pct == rep.convergence_index_70pct
+
+    def test_rescaled_refuses_a_zero_total(self):
+        rep = lamb_shift_report(QubitParams(5.0, 0.0), aluminum(0.0), make_geometry(), 4)
+        zero = replace(rep, totals=replace(rep.totals, no_dispersion=0.0))
+        with pytest.raises(DomainError, match="no-dispersion total is zero"):
+            rescaled(zero, -272.6)
 
     def test_domain(self):
         geo = make_geometry()
